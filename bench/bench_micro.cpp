@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the urcgc
-// implementation: wire codecs, history operations, waiting-list release,
-// vector clocks, decision computation, and raw simulator throughput.
+// implementation: wire codecs, history operations, in-order processing,
+// waiting-list release, vector clocks, decision computation, and raw
+// simulator throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "causal/waiting_list.hpp"
 #include "core/coordinator.hpp"
 #include "core/history.hpp"
+#include "core/mt_entity.hpp"
 #include "core/pdu.hpp"
 #include "harness/experiment.hpp"
 #include "sim/event_queue.hpp"
@@ -48,29 +50,84 @@ void BM_EncodeAppMessage(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeAppMessage)->Arg(32)->Arg(512);
 
+// Steady-state store/purge on one long-lived history, as the protocol
+// uses it: each iteration stores a batch and purges it again. Arg 1 picks
+// the shape. 0: dense per-origin sequences, interleaved across 8 origins
+// (what the protocol produces). 1: global seq s stored under origin s % 8,
+// so every origin's seqs are 8 apart (the index's hole path).
 void BM_HistoryStorePurge(benchmark::State& state) {
   const auto batch = static_cast<Seq>(state.range(0));
+  const bool sparse = state.range(1) != 0;
+  constexpr int kOrigins = 8;
+  core::History history(kOrigins);
+  Seq base = 0;
   for (auto _ : state) {
-    core::History history(8);
-    core::AppMessage msg;
-    for (Seq s = 1; s <= batch; ++s) {
-      msg.mid = {s % 8 == 0 ? ProcessId{0} : static_cast<ProcessId>(s % 8),
-                 s};
-      history.store(msg);
+    if (sparse) {
+      for (Seq s = base + 1; s <= base + batch; ++s) {
+        history.store(core::AppMessage{
+            {static_cast<ProcessId>(s % kOrigins), s}, {}, 0, {}});
+      }
+      base += batch;
+    } else {
+      const Seq per_origin = batch / kOrigins;
+      for (Seq s = base + 1; s <= base + per_origin; ++s) {
+        for (ProcessId p = 0; p < kOrigins; ++p) {
+          history.store(core::AppMessage{{p, s}, {}, 0, {}});
+        }
+      }
+      base += per_origin;
     }
-    for (ProcessId p = 0; p < 8; ++p) history.purge_upto(p, batch);
+    for (ProcessId p = 0; p < kOrigins; ++p) history.purge_upto(p, base);
     benchmark::DoNotOptimize(history.total_size());
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_HistoryStorePurge)->Arg(64)->Arg(1024);
+BENCHMARK(BM_HistoryStorePurge)
+    ->ArgNames({"batch", "sparse"})
+    ->Args({64, 0})
+    ->Args({1024, 0})
+    ->Args({1024, 1});
+
+// In-order processing through MtEntity::submit: every message's only
+// dependency is its origin's previous one, so each is processed at once
+// and nothing parks. Each iteration submits a batch round-robin across 8
+// origins and then cleans it, which keeps the history at steady state.
+// Building the messages (their deps/payload vectors) is not timed.
+void BM_MtEntityInOrderChain(benchmark::State& state) {
+  const auto batch = static_cast<Seq>(state.range(0));
+  constexpr int kOrigins = 8;
+  core::Config config;
+  config.n = kOrigins;
+  core::MtEntity mt(config, 0, nullptr);
+  std::vector<core::AppMessage> messages;
+  Seq base = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const Seq per_origin = batch / kOrigins;
+    messages.clear();
+    for (Seq s = base + 1; s <= base + per_origin; ++s) {
+      for (ProcessId p = 0; p < kOrigins; ++p) {
+        core::AppMessage msg{{p, s}, {}, s, {0xAB}};
+        if (s > 1) msg.deps.push_back({p, s - 1});
+        messages.push_back(std::move(msg));
+      }
+    }
+    base += per_origin;
+    state.ResumeTiming();
+    for (core::AppMessage& msg : messages) {
+      mt.submit(std::move(msg), base);
+    }
+    mt.clean(std::vector<Seq>(kOrigins, base));
+    benchmark::DoNotOptimize(mt.history_size());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_MtEntityInOrderChain)->Arg(1024);
 
 void BM_HistoryRange(benchmark::State& state) {
   core::History history(4);
-  core::AppMessage msg;
   for (Seq s = 1; s <= 4096; ++s) {
-    msg.mid = {1, s};
-    history.store(msg);
+    history.store(core::AppMessage{{1, s}, {}, 0, {}});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(history.range(1, 2000, 2040, 8));
@@ -80,6 +137,7 @@ BENCHMARK(BM_HistoryRange);
 
 void BM_WaitingListChainRelease(benchmark::State& state) {
   const auto depth = static_cast<Seq>(state.range(0));
+  std::vector<causal::PendingMessage> released;
   for (auto _ : state) {
     state.PauseTiming();
     causal::WaitingList list;
@@ -94,7 +152,8 @@ void BM_WaitingListChainRelease(benchmark::State& state) {
     // Process the root; each release unlocks exactly one successor.
     Mid current{0, 1};
     for (Seq s = 1; s < depth; ++s) {
-      auto released = list.on_processed(current);
+      released.clear();
+      list.on_processed(current, released);
       if (released.empty()) break;
       current = released.front().mid;
     }

@@ -1,50 +1,119 @@
 #include "core/history.hpp"
 
+#include <utility>
+
 #include "common/assert.hpp"
 
 namespace urcgc::core {
 
-bool History::store(const AppMessage& msg) {
-  URCGC_ASSERT(msg.mid.valid());
-  URCGC_ASSERT(msg.mid.origin >= 0 && msg.mid.origin < n());
-  auto [it, inserted] =
-      per_origin_[msg.mid.origin].emplace(msg.mid.seq, msg);
-  if (inserted) {
-    ++total_;
-    ++version_;
+void History::OriginIndex::grow() {
+  std::vector<SlotId> bigger(ring_.empty() ? 2 : ring_.size() * 2);
+  for (std::size_t i = 0; i < size_; ++i) bigger[i] = at(i);
+  ring_ = std::move(bigger);
+  head_ = 0;
+}
+
+void History::OriginIndex::insert(std::size_t pos, SlotId id) {
+  if (size_ == ring_.size()) grow();
+  const std::size_t mask = ring_.size() - 1;
+  if (pos == 0) {
+    // Below the current minimum: a store after a purge, or out of order.
+    head_ = (head_ + mask) & mask;
+  } else {
+    // Appending (pos == size_) moves nothing; a store into a hole shifts
+    // the entries above it up by one.
+    for (std::size_t i = size_; i > pos; --i) slot_at(i) = slot_at(i - 1);
   }
-  return inserted;
+  ++size_;
+  slot_at(pos) = id;
+}
+
+std::size_t History::lower_bound(const OriginIndex& index, Seq seq) const {
+  // Appends (the in-order common case) return after one comparison.
+  if (index.empty()) return 0;
+  if (seq > seq_at(index, index.size() - 1)) return index.size();
+  if (seq <= seq_at(index, 0)) return 0;
+  // Dense sequences (the common case) place seq at a fixed offset from the
+  // front; holes fall back to binary search.
+  const auto guess = static_cast<std::uint64_t>(seq - seq_at(index, 0));
+  if (guess < index.size() && seq_at(index, guess) == seq) return guess;
+  std::size_t lo = 0;
+  std::size_t hi = index.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (seq_at(index, mid) < seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+History::SlotId History::acquire_slot() {
+  if (free_.empty()) {
+    const std::size_t first = slot_capacity();
+    chunks_.push_back(std::make_unique<AppMessage[]>(kChunkSlots));
+    // Hand out the new chunk lowest id first.
+    for (std::size_t i = kChunkSlots; i > 0; --i) {
+      free_.push_back(static_cast<SlotId>(first + i - 1));
+    }
+  }
+  const SlotId id = free_.back();
+  free_.pop_back();
+  return id;
+}
+
+const AppMessage* History::store(AppMessage&& msg) {
+  URCGC_ASSERT(msg.mid.valid());
+  URCGC_ASSERT(valid_origin(msg.mid.origin));
+  OriginIndex& index = origins_[msg.mid.origin];
+  const Seq seq = msg.mid.seq;
+  const std::size_t pos = lower_bound(index, seq);
+  if (pos < index.size() && seq_at(index, pos) == seq) return nullptr;
+
+  const SlotId id = acquire_slot();
+  AppMessage& stored = slot(id);
+  stored = std::move(msg);
+  index.insert(pos, id);
+  ++total_;
+  ++version_;
+  return &stored;
 }
 
 const AppMessage* History::find(const Mid& mid) const {
-  if (mid.origin < 0 || mid.origin >= n()) return nullptr;
-  const auto& entry = per_origin_[mid.origin];
-  auto it = entry.find(mid.seq);
-  return it == entry.end() ? nullptr : &it->second;
+  if (!valid_origin(mid.origin)) return nullptr;
+  const OriginIndex& index = origins_[mid.origin];
+  const std::size_t pos = lower_bound(index, mid.seq);
+  if (pos == index.size() || seq_at(index, pos) != mid.seq) return nullptr;
+  return &slot(index.at(pos));
 }
 
 std::vector<AppMessage> History::range(ProcessId origin, Seq from_seq,
                                        Seq to_seq,
                                        std::size_t max_count) const {
   std::vector<AppMessage> result;
-  if (origin < 0 || origin >= n() || from_seq > to_seq) return result;
-  const auto& entry = per_origin_[origin];
-  for (auto it = entry.lower_bound(from_seq);
-       it != entry.end() && it->first <= to_seq &&
+  if (!valid_origin(origin) || from_seq > to_seq) return result;
+  const OriginIndex& index = origins_[origin];
+  for (std::size_t i = lower_bound(index, from_seq);
+       i < index.size() && seq_at(index, i) <= to_seq &&
        result.size() < max_count;
-       ++it) {
-    result.push_back(it->second);
+       ++i) {
+    result.push_back(slot(index.at(i)));
   }
   return result;
 }
 
 std::size_t History::purge_upto(ProcessId origin, Seq upto) {
-  if (origin < 0 || origin >= n()) return 0;
-  auto& entry = per_origin_[origin];
+  if (!valid_origin(origin)) return 0;
+  OriginIndex& index = origins_[origin];
   std::size_t purged = 0;
-  auto it = entry.begin();
-  while (it != entry.end() && it->first <= upto) {
-    it = entry.erase(it);
+  while (!index.empty() && seq_at(index, 0) <= upto) {
+    const SlotId id = index.front();
+    // Release the message's buffers now; the slot itself is kept for reuse.
+    slot(id) = AppMessage{};
+    free_.push_back(id);
+    index.pop_front();
     ++purged;
   }
   total_ -= purged;
@@ -53,15 +122,13 @@ std::size_t History::purge_upto(ProcessId origin, Seq upto) {
 }
 
 Seq History::max_stored(ProcessId origin) const {
-  if (origin < 0 || origin >= n()) return kNoSeq;
-  const auto& entry = per_origin_[origin];
-  return entry.empty() ? kNoSeq : entry.rbegin()->first;
+  if (!valid_origin(origin) || origins_[origin].empty()) return kNoSeq;
+  return slot(origins_[origin].back()).mid.seq;
 }
 
 Seq History::min_stored(ProcessId origin) const {
-  if (origin < 0 || origin >= n()) return kNoSeq;
-  const auto& entry = per_origin_[origin];
-  return entry.empty() ? kNoSeq : entry.begin()->first;
+  if (!valid_origin(origin) || origins_[origin].empty()) return kNoSeq;
+  return slot(origins_[origin].front()).mid.seq;
 }
 
 }  // namespace urcgc::core

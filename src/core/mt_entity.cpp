@@ -28,11 +28,11 @@ MtEntity::SubmitResult MtEntity::submit(AppMessage msg, Tick now) {
     return SubmitResult::kDuplicate;
   }
 
-  std::vector<Mid> missing;
+  missing_.clear();
   for (const Mid& dep : msg.deps) {
-    if (!processed(dep)) missing.push_back(dep);
+    if (!processed(dep)) missing_.push_back(dep);
   }
-  if (!missing.empty()) {
+  if (!missing_.empty()) {
     if (config_.waiting_cap > 0 && waiting_.size() >= config_.waiting_cap) {
       ++waiting_rejected_;
       return SubmitResult::kRejected;
@@ -42,7 +42,7 @@ MtEntity::SubmitResult MtEntity::submit(AppMessage msg, Tick now) {
     causal::PendingMessage pending{msg.mid, std::move(msg.deps),
                                    msg.generated_at, now,
                                    std::move(msg.payload)};
-    waiting_.add(std::move(pending), missing);
+    waiting_.add(std::move(pending), missing_);
     waiting_peak_ = std::max(waiting_peak_, waiting_.size());
     return SubmitResult::kParked;
   }
@@ -52,30 +52,43 @@ MtEntity::SubmitResult MtEntity::submit(AppMessage msg, Tick now) {
 }
 
 void MtEntity::process_now(AppMessage msg, Tick now) {
-  std::deque<AppMessage> queue;
-  queue.push_back(std::move(msg));
-  while (!queue.empty()) {
-    AppMessage current = std::move(queue.front());
-    queue.pop_front();
-    URCGC_ASSERT_MSG(!processed(current.mid), "double processing");
+  // A callback that re-enters submit() runs a nested process_now over the
+  // segment past its own base and truncates it before returning, so this
+  // call resumes exactly where it left off.
+  const std::size_t base = queue_.size();
+  std::size_t head = base;
+  queue_.push_back(std::move(msg));
+  while (head < queue_.size()) {
+    const Mid mid = queue_[head].mid;
+    URCGC_ASSERT_MSG(!processed(mid), "double processing");
 
-    history_.store(current);
+    const AppMessage* stored = history_.store(std::move(queue_[head++]));
+    URCGC_ASSERT(stored != nullptr);
     history_peak_ = std::max(history_peak_, history_.total_size());
-    processed_[current.mid.origin].insert(current.mid.seq);
-    log_.push_back(current.mid);
-    if (observer_ != nullptr) observer_->on_processed(self_, current, now);
-    if (on_processed_) on_processed_(current);
+    processed_[mid.origin].insert(mid.seq);
+    log_.push_back(mid);
+    if (observer_ != nullptr) observer_->on_processed(self_, *stored, now);
+    if (on_processed_) on_processed_(*stored);
 
-    for (causal::PendingMessage& released :
-         waiting_.on_processed(current.mid)) {
-      AppMessage next;
-      next.mid = released.mid;
-      next.deps = std::move(released.deps);
-      next.generated_at = released.generated_at;
-      next.payload = std::move(released.payload);
-      queue.push_back(std::move(next));
+    waiting_.on_processed(mid, released_);
+    for (causal::PendingMessage& released : released_) {
+      queue_.push_back(AppMessage{released.mid, std::move(released.deps),
+                                  released.generated_at,
+                                  std::move(released.payload)});
+    }
+    released_.clear();
+
+    // Drop the consumed (moved-from) prefix once it outweighs what is
+    // still pending: a long release chain then keeps the queue at its
+    // fan-out instead of its length.
+    const std::size_t consumed = head - base;
+    if (consumed >= kCompactAfter && consumed >= queue_.size() - head) {
+      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(base),
+                   queue_.begin() + static_cast<std::ptrdiff_t>(head));
+      head = base;
     }
   }
+  queue_.resize(base);
 }
 
 std::vector<Seq> MtEntity::last_processed_vec() const {
@@ -162,20 +175,21 @@ std::size_t MtEntity::adopt_baseline(const std::vector<Seq>& baseline,
 
   // Waiters blocked on dependencies the baseline satisfies become
   // processable (they were generated after the stable floor).
+  // process_now() reuses released_, so this rare path keeps its own list.
   const std::vector<Mid> blocking = waiting_.missing_mids();
+  std::vector<causal::PendingMessage> released;
   for (const Mid& mid : blocking) {
     if (!processed(mid)) continue;
-    for (causal::PendingMessage& released : waiting_.on_processed(mid)) {
-      AppMessage next;
-      next.mid = released.mid;
-      next.deps = std::move(released.deps);
-      next.generated_at = released.generated_at;
-      next.payload = std::move(released.payload);
+    released.clear();
+    waiting_.on_processed(mid, released);
+    for (causal::PendingMessage& next : released) {
       if (processed(next.mid)) {
         ++duplicates_;
         continue;
       }
-      process_now(std::move(next), now);
+      process_now(AppMessage{next.mid, std::move(next.deps),
+                             next.generated_at, std::move(next.payload)},
+                  now);
     }
   }
   return adopted;

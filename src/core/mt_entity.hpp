@@ -8,7 +8,6 @@
 // split mirrors the paper's protocol architecture and keeps everything here
 // unit-testable without a simulator.
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -26,7 +25,11 @@ namespace urcgc::core {
 class MtEntity {
  public:
   /// Invoked exactly once per message, at the instant it is processed (the
-  /// urcgc_data_Ind of the SAP).
+  /// urcgc_data_Ind of the SAP). The message is the history's stored copy:
+  /// the reference is valid only during the callback, so a callee that
+  /// needs the message later copies it. A callback may call submit(); the
+  /// nested processing, and every release it triggers, completes before
+  /// the waiters this message releases are processed.
   using ProcessedFn = std::function<void(const AppMessage&)>;
 
   MtEntity(const Config& config, ProcessId self, Observer* observer);
@@ -140,6 +143,13 @@ class MtEntity {
 
   History history_;
   causal::WaitingList waiting_;
+  // Scratch buffers reused across calls, so steady-state processing and
+  // parking allocate nothing of their own. process_now() drains queue_ in
+  // segments: each (possibly re-entrant) call owns the tail it pushed.
+  static constexpr std::size_t kCompactAfter = 16;
+  std::vector<AppMessage> queue_;
+  std::vector<causal::PendingMessage> released_;
+  std::vector<Mid> missing_;
   std::vector<causal::PrefixSet> processed_;
   std::vector<Seq> clean_floor_;
   std::vector<Mid> log_;  // local processing order, for validation

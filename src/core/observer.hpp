@@ -39,6 +39,8 @@ class Observer {
 
   virtual void on_generated(ProcessId /*p*/, const AppMessage& /*msg*/,
                             Tick /*at*/) {}
+  /// `msg` is the history's stored copy: the reference is valid only
+  /// during the callback. An observer that keeps the message copies it.
   virtual void on_processed(ProcessId /*p*/, const AppMessage& /*msg*/,
                             Tick /*at*/) {}
   /// Every PDU handed to the subnet, with its wire size.

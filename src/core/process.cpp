@@ -783,13 +783,13 @@ void UrcgcProcess::handle_recover_rq(const RecoverRq& rq) {
   send_pdu(rq.from, serve_cache_.frame, stats::MsgClass::kRecoverRsp);
 }
 
-void UrcgcProcess::handle_recover_rsp(const RecoverRsp& rsp) {
+void UrcgcProcess::handle_recover_rsp(RecoverRsp rsp) {
   Seq max_seq = kNoSeq;
   std::uint64_t recovered = 0;
-  for (const AppMessage& msg : rsp.messages) {
+  for (AppMessage& msg : rsp.messages) {
     max_seq = std::max(max_seq, msg.mid.seq);
     if (drop_if_zombie(msg)) continue;
-    const auto result = submit_tracked(msg, rt_.now());
+    const auto result = submit_tracked(std::move(msg), rt_.now());
     if (result == MtEntity::SubmitResult::kProcessed ||
         result == MtEntity::SubmitResult::kParked) {
       ++recovered;
@@ -1053,7 +1053,7 @@ void UrcgcProcess::on_datagram(ProcessId src,
         } else if constexpr (std::is_same_v<T, RecoverRq>) {
           handle_recover_rq(payload);
         } else if constexpr (std::is_same_v<T, RecoverRsp>) {
-          handle_recover_rsp(payload);
+          handle_recover_rsp(std::move(payload));
         } else if constexpr (std::is_same_v<T, JoinRq>) {
           handle_join_rq(payload);
         } else if constexpr (std::is_same_v<T, SnapshotRq>) {

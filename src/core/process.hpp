@@ -240,7 +240,7 @@ class UrcgcProcess {
 
   void handle_request(Request rq);
   void handle_recover_rq(const RecoverRq& rq);
-  void handle_recover_rsp(const RecoverRsp& rsp);
+  void handle_recover_rsp(RecoverRsp rsp);
   void handle_join_rq(const JoinRq& rq);
   void handle_snapshot_rq(const SnapshotRq& rq);
   void handle_snapshot_rsp(const SnapshotRsp& rsp);

@@ -21,12 +21,11 @@
 
 #include "common/types.hpp"
 #include "runtime/clock.hpp"
+#include "runtime/event_fn.hpp"
 
 namespace urcgc::rt {
 
 class DatagramSubnet;  // runtime/subnet.hpp
-
-using EventFn = std::function<void()>;
 
 /// Handler invoked at the beginning of every round.
 using RoundHandler = std::function<void(RoundId)>;

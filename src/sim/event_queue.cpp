@@ -12,7 +12,16 @@ void EventQueue::schedule(Tick at, EventFn fn, int priority) {
     std::uint64_t mix = order ^ salt_;
     key = splitmix64(mix);
   }
-  heap_.push(Entry{at, priority, key, order, std::move(fn)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(fns_.size());
+    fns_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    fns_[slot] = std::move(fn);
+  }
+  heap_.push(Entry{at, priority, slot, key, order});
 }
 
 Tick EventQueue::next_time() const {
@@ -22,19 +31,18 @@ Tick EventQueue::next_time() const {
 
 std::pair<Tick, EventFn> EventQueue::pop() {
   URCGC_ASSERT(!heap_.empty());
-  // priority_queue::top() is const&; the Entry must be copied out before
-  // pop(). Move the callable via const_cast, which is safe because the
-  // element is removed immediately afterwards.
-  auto& top = const_cast<Entry&>(heap_.top());
-  Tick at = top.at;
-  EventFn fn = std::move(top.fn);
+  const Entry top = heap_.top();
   heap_.pop();
-  last_popped_ = at;
-  return {at, std::move(fn)};
+  EventFn fn = std::move(fns_[top.slot]);
+  free_slots_.push_back(top.slot);
+  last_popped_ = top.at;
+  return {top.at, std::move(fn)};
 }
 
 void EventQueue::clear() {
   while (!heap_.empty()) heap_.pop();
+  fns_.clear();
+  free_slots_.clear();
 }
 
 }  // namespace urcgc::sim

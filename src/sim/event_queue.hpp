@@ -13,17 +13,17 @@
 // sweeps salts to hunt for order-dependent protocol bugs.
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "runtime/event_fn.hpp"
 
 namespace urcgc::sim {
 
-using EventFn = std::function<void()>;
+using EventFn = rt::EventFn;
 
 class EventQueue {
  public:
@@ -56,12 +56,15 @@ class EventQueue {
   void clear();
 
  private:
+  // The heap orders small trivially copyable entries; each closure stays
+  // put in `fns_` at the entry's slot until it is popped, so sifting never
+  // moves a closure.
   struct Entry {
     Tick at;
     int priority;         // lower runs first at equal times
+    std::uint32_t slot;   // index into fns_
     std::uint64_t key;    // tie-break: insertion index, or its salted hash
     std::uint64_t order;  // global insertion counter (total-order fallback)
-    EventFn fn;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -73,6 +76,8 @@ class EventQueue {
   };
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<EventFn> fns_;
+  std::vector<std::uint32_t> free_slots_;  // empty fns_ entries to reuse
   std::uint64_t next_order_ = 0;
   std::uint64_t salt_ = 0;
   Tick last_popped_ = 0;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "alloc_guard.hpp"
 #include "core/history.hpp"
 
 namespace urcgc::core {
@@ -172,6 +176,116 @@ TEST(History, PerOriginIsolation) {
   EXPECT_TRUE(h.contains({0, 1}));
   EXPECT_FALSE(h.contains({1, 1}));
   EXPECT_TRUE(h.contains({2, 1}));
+}
+
+std::vector<Seq> seqs_of(const std::vector<AppMessage>& messages) {
+  std::vector<Seq> seqs;
+  for (const AppMessage& msg : messages) seqs.push_back(msg.mid.seq);
+  return seqs;
+}
+
+TEST(History, StoreReturnsTheStoredCopy) {
+  History h(2);
+  const AppMessage* stored = h.store(make(0, 2));
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(*stored, make(0, 2));
+  EXPECT_EQ(h.find({0, 2}), stored);
+  // The copy keeps its address while other messages come and go.
+  for (Seq s = 3; s <= 200; ++s) h.store(make(1, s));
+  h.purge_upto(1, 150);
+  EXPECT_EQ(h.find({0, 2}), stored);
+  EXPECT_EQ(*stored, make(0, 2));
+}
+
+TEST(History, OutOfOrderStoresKeepSeqOrder) {
+  History h(1);
+  for (const Seq s : {5, 3, 9, 1, 4, 2, 8}) {
+    EXPECT_NE(h.store(make(0, s)), nullptr) << s;
+  }
+  EXPECT_EQ(h.store(make(0, 4)), nullptr);  // duplicate after reordering
+  EXPECT_EQ(seqs_of(h.range(0, 1, 9, 100)),
+            (std::vector<Seq>{1, 2, 3, 4, 5, 8, 9}));
+  EXPECT_EQ(h.min_stored(0), 1);
+  EXPECT_EQ(h.max_stored(0), 9);
+  for (const Seq s : {1, 2, 3, 4, 5, 8, 9}) {
+    ASSERT_NE(h.find({0, s}), nullptr) << s;
+    EXPECT_EQ(h.find({0, s})->payload, make(0, s).payload) << s;
+  }
+  EXPECT_FALSE(h.contains({0, 6}));
+  EXPECT_FALSE(h.contains({0, 7}));
+  EXPECT_FALSE(h.contains({0, 10}));
+}
+
+TEST(History, StoreBelowMinimumAfterPurge) {
+  History h(1);
+  for (Seq s = 1; s <= 10; ++s) h.store(make(0, s));
+  EXPECT_EQ(h.purge_upto(0, 5), 5u);
+  ASSERT_NE(h.store(make(0, 3)), nullptr);
+  EXPECT_EQ(h.min_stored(0), 3);
+  EXPECT_EQ(h.size_of(0), 6u);
+  EXPECT_EQ(seqs_of(h.range(0, 1, 10, 100)),
+            (std::vector<Seq>{3, 6, 7, 8, 9, 10}));
+  // Purging again removes the re-stored message with the rest.
+  EXPECT_EQ(h.purge_upto(0, 7), 3u);
+  EXPECT_EQ(h.min_stored(0), 8);
+}
+
+TEST(History, PurgedSlotsAreReusedAcrossOrigins) {
+  History h(3);
+  for (Seq s = 1; s <= 40; ++s) h.store(make(0, s));
+  const std::size_t capacity = h.slot_capacity();
+  EXPECT_GE(capacity, 40u);
+  EXPECT_EQ(h.purge_upto(0, 40), 40u);
+
+  // Another origin's messages fill the freed slots: the pool does not grow.
+  for (Seq s = 1; s <= 40; ++s) h.store(make(2, s));
+  EXPECT_EQ(h.slot_capacity(), capacity);
+  EXPECT_EQ(h.total_size(), 40u);
+  EXPECT_FALSE(h.contains({0, 1}));
+  for (Seq s = 1; s <= 40; ++s) {
+    ASSERT_NE(h.find({2, s}), nullptr) << s;
+    EXPECT_EQ(*h.find({2, s}), make(2, s)) << s;
+  }
+}
+
+TEST(History, RangeAcrossHoles) {
+  History h(1);
+  for (const Seq s : {1, 2, 5, 6, 9, 12}) h.store(make(0, s));
+  EXPECT_EQ(seqs_of(h.range(0, 2, 9, 100)), (std::vector<Seq>{2, 5, 6, 9}));
+  // Bounds inside holes.
+  EXPECT_EQ(seqs_of(h.range(0, 3, 8, 100)), (std::vector<Seq>{5, 6}));
+  EXPECT_EQ(seqs_of(h.range(0, 7, 11, 100)), (std::vector<Seq>{9}));
+  EXPECT_TRUE(h.range(0, 3, 4, 100).empty());
+  EXPECT_TRUE(h.range(0, 13, 20, 100).empty());
+  // The cap counts stored messages, not seqs spanned.
+  EXPECT_EQ(seqs_of(h.range(0, 1, 12, 3)), (std::vector<Seq>{1, 2, 5}));
+}
+
+TEST(History, OutOfRangeOriginStoreAborts) {
+  History h(2);
+  EXPECT_DEATH(h.store(make(2, 1)), "assertion failed");
+  EXPECT_DEATH(h.store(make(-1, 1)), "assertion failed");
+}
+
+TEST(History, HostileSeqAllocatesByCountNotSpan) {
+  // Under general causality a member may process seq 2^40 right after seq 1
+  // (the seq is the sender's to pick). The index must grow with the number
+  // of stored messages: a seq-indexed table would try to allocate 2^40
+  // slots here, which the cap turns into a test failure.
+  History h(2);
+  const Seq hostile = Seq{1} << 40;
+  testsupport::AllocationCapGuard guard(1u << 20);
+  ASSERT_NE(h.store(make(1, 1)), nullptr);
+  ASSERT_NE(h.store(make(1, hostile)), nullptr);
+  ASSERT_NE(h.store(make(1, hostile - 1)), nullptr);
+  EXPECT_EQ(h.size_of(1), 3u);
+  EXPECT_EQ(h.max_stored(1), hostile);
+  EXPECT_TRUE(h.contains({1, hostile}));
+  EXPECT_FALSE(h.contains({1, 2}));
+  EXPECT_EQ(seqs_of(h.range(1, 1, hostile, 10)),
+            (std::vector<Seq>{1, hostile - 1, hostile}));
+  EXPECT_EQ(h.purge_upto(1, hostile), 3u);
+  EXPECT_EQ(h.total_size(), 0u);
 }
 
 }  // namespace

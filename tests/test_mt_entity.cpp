@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "alloc_guard.hpp"
 #include "core/mt_entity.hpp"
 
 namespace urcgc::core {
@@ -221,6 +223,130 @@ TEST(MtEntity, GeneralModeOutOfOrderProcessing) {
   EXPECT_EQ(mt.prefix(0), 0);  // prefix still gated by the gap at 1
   mt.submit(make(0, 1), 2);
   EXPECT_EQ(mt.prefix(0), 2);
+}
+
+TEST(MtEntity, InOrderProcessingIsAllocationFreeAfterWarmUp) {
+  // The steady state of the delivery path: every message arrives after its
+  // predecessor, is processed at once, and is cleaned a little later. Once
+  // the history pool, the origin indexes and the scratch buffers have grown
+  // to that working set, processing allocates nothing of its own (only the
+  // processing log still doubles now and then).
+  constexpr int kOrigins = 4;
+  constexpr Seq kWarmUp = 500;     // per origin
+  constexpr Seq kMeasured = 2500;  // per origin: 10k messages in total
+  constexpr Seq kCleanEvery = 50;
+  MtEntity mt(small_config(kOrigins), 0, nullptr);
+  int delivered = 0;
+  mt.set_on_processed([&](const AppMessage&) { ++delivered; });
+
+  auto run = [&](Seq from, Seq to) {
+    // Build the messages first: their deps/payload vectors are the
+    // decoder's allocations, not the processing path's.
+    std::vector<AppMessage> batch;
+    for (Seq s = from; s <= to; ++s) {
+      for (ProcessId p = 0; p < kOrigins; ++p) batch.push_back(chained(p, s));
+    }
+    std::vector<Seq> clean_upto(kOrigins);
+    std::size_t unprocessed = 0;
+    const std::uint64_t before = testsupport::thread_allocations();
+    for (AppMessage& msg : batch) {
+      const Mid mid = msg.mid;
+      if (mt.submit(std::move(msg), mid.seq) !=
+          MtEntity::SubmitResult::kProcessed) {
+        ++unprocessed;
+      }
+      if (mid.origin == kOrigins - 1 && mid.seq % kCleanEvery == 0) {
+        std::fill(clean_upto.begin(), clean_upto.end(),
+                  mid.seq - kCleanEvery / 2);
+        mt.clean(clean_upto);
+      }
+    }
+    const std::uint64_t allocations =
+        testsupport::thread_allocations() - before;
+    EXPECT_EQ(unprocessed, 0u);
+    return allocations;
+  };
+
+  (void)run(1, kWarmUp);
+  std::uint64_t allocations = 0;
+  // Measure in slices so the batch vectors stay small.
+  for (Seq from = kWarmUp + 1; from <= kWarmUp + kMeasured; from += 500) {
+    allocations += run(from, from + 499);
+  }
+  const double messages = static_cast<double>(kMeasured * kOrigins);
+  EXPECT_EQ(delivered, static_cast<int>((kWarmUp + kMeasured) * kOrigins));
+  EXPECT_LT(static_cast<double>(allocations) / messages, 0.05)
+      << allocations << " allocations for " << messages << " messages";
+  EXPECT_LE(mt.history_size(), static_cast<std::size_t>(kCleanEvery * kOrigins));
+}
+
+TEST(MtEntity, ReentrantSubmitFinishesBeforeOuterReleases) {
+  // deliver_ind may call submit(). The nested message, and everything it
+  // releases, is processed before the waiters of the message whose
+  // callback submitted it — the order a fresh queue per call produces.
+  MtEntity mt(small_config(3), 0, nullptr);
+  std::vector<Mid> delivered;
+  mt.submit(chained(1, 2), 1);  // C: waits on A = (1,1)
+  mt.submit(chained(2, 2), 2);  // D: waits on B = (2,1)
+  bool submitted = false;
+  mt.set_on_processed([&](const AppMessage& msg) {
+    delivered.push_back(msg.mid);
+    if (msg.mid == Mid{1, 1} && !submitted) {
+      submitted = true;
+      EXPECT_EQ(mt.submit(chained(2, 1), 4),
+                MtEntity::SubmitResult::kProcessed);
+    }
+  });
+  mt.submit(chained(1, 1), 3);  // A
+  EXPECT_EQ(delivered,
+            (std::vector<Mid>{{1, 1}, {2, 1}, {2, 2}, {1, 2}}));
+  EXPECT_EQ(mt.processing_log(), delivered);
+  EXPECT_EQ(mt.waiting_size(), 0u);
+  EXPECT_EQ(mt.history_size(), 4u);
+}
+
+TEST(MtEntity, ReentrantSubmitDuringReleaseChain) {
+  // Re-entry from the middle of a release chain: the outer chain resumes
+  // where it stopped once the nested submission is done.
+  MtEntity mt(small_config(3), 0, nullptr);
+  for (Seq s = 2; s <= 40; ++s) mt.submit(chained(1, s), s);
+  std::vector<Mid> delivered;
+  mt.set_on_processed([&](const AppMessage& msg) {
+    delivered.push_back(msg.mid);
+    if (msg.mid.origin == 1 && msg.mid.seq % 10 == 0) {
+      mt.submit(chained(2, msg.mid.seq / 10), 50);
+    }
+  });
+  mt.submit(chained(1, 1), 1);
+  std::vector<Mid> expected;
+  for (Seq s = 1; s <= 40; ++s) {
+    expected.push_back({1, s});
+    if (s % 10 == 0) expected.push_back({2, s / 10});
+  }
+  EXPECT_EQ(delivered, expected);
+  EXPECT_EQ(mt.prefix(1), 40);
+  EXPECT_EQ(mt.prefix(2), 4);
+}
+
+TEST(MtEntity, HostileSeqUnderGeneralCausality) {
+  // Under Definition 3.1 seq 2^40 may be processed right after seq 1 with
+  // no dependency between them. Nothing on the processing path may size
+  // itself by the seq span.
+  Config config = small_config(2);
+  config.causality = CausalityMode::kGeneral;
+  MtEntity mt(config, 0, nullptr);
+  const Seq hostile = Seq{1} << 40;
+  testsupport::AllocationCapGuard guard(1u << 20);
+  EXPECT_EQ(mt.submit(make(1, 1), 1), MtEntity::SubmitResult::kProcessed);
+  EXPECT_EQ(mt.submit(make(1, hostile), 2),
+            MtEntity::SubmitResult::kProcessed);
+  EXPECT_TRUE(mt.processed({1, hostile}));
+  EXPECT_EQ(mt.prefix(1), 1);
+  EXPECT_EQ(mt.history_size(), 2u);
+  ASSERT_NE(mt.history().find({1, hostile}), nullptr);
+  const auto rsp = mt.serve_recovery(RecoverRq{0, 1, 1, hostile});
+  ASSERT_EQ(rsp.messages.size(), 2u);
+  EXPECT_EQ(rsp.messages.back().mid.seq, hostile);
 }
 
 }  // namespace

@@ -15,6 +15,13 @@ PendingMessage make(Mid mid, std::vector<Mid> deps) {
   return msg;
 }
 
+/// Releases into a fresh buffer: the tests inspect one wake at a time.
+std::vector<PendingMessage> release(WaitingList& list, const Mid& mid) {
+  std::vector<PendingMessage> released;
+  list.on_processed(mid, released);
+  return released;
+}
+
 TEST(WaitingList, StartsEmpty) {
   WaitingList list;
   EXPECT_TRUE(list.empty());
@@ -45,8 +52,8 @@ TEST(WaitingList, ReleaseOnLastMissingDep) {
   const std::vector<Mid> missing{{0, 1}, {0, 2}};
   list.add(make({1, 1}, missing), missing);
 
-  EXPECT_TRUE(list.on_processed({0, 1}).empty());  // one dep still missing
-  auto released = list.on_processed({0, 2});
+  EXPECT_TRUE(release(list, {0, 1}).empty());  // one dep still missing
+  auto released = release(list, {0, 2});
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].mid, (Mid{1, 1}));
   EXPECT_TRUE(list.empty());
@@ -58,7 +65,7 @@ TEST(WaitingList, ReleasePreservesArrivalOrder) {
   list.add(make({1, 1}, {dep}), std::span(&dep, 1));
   list.add(make({2, 1}, {dep}), std::span(&dep, 1));
   list.add(make({3, 1}, {dep}), std::span(&dep, 1));
-  auto released = list.on_processed(dep);
+  auto released = release(list, dep);
   ASSERT_EQ(released.size(), 3u);
   EXPECT_EQ(released[0].mid, (Mid{1, 1}));
   EXPECT_EQ(released[1].mid, (Mid{2, 1}));
@@ -67,7 +74,7 @@ TEST(WaitingList, ReleasePreservesArrivalOrder) {
 
 TEST(WaitingList, OnProcessedUnknownMidIsNoop) {
   WaitingList list;
-  EXPECT_TRUE(list.on_processed({5, 5}).empty());
+  EXPECT_TRUE(release(list, {5, 5}).empty());
 }
 
 TEST(WaitingList, OldestWaitingPerOrigin) {
@@ -87,7 +94,7 @@ TEST(WaitingList, OldestWaitingUpdatesOnRelease) {
   list.add(make({1, 3}, {dep}), std::span(&dep, 1));
   const Mid dep2{0, 2};
   list.add(make({1, 7}, {dep2}), std::span(&dep2, 1));
-  (void)list.on_processed(dep);  // releases (1,3)
+  (void)release(list, dep);  // releases (1,3)
   EXPECT_EQ(list.oldest_waiting(1).value(), 7);
 }
 
@@ -109,11 +116,11 @@ TEST(WaitingList, ChainedReleaseThroughWaitingMessage) {
   list.add(make(m12, {m11}), std::span(&m11, 1));
   list.add(make({1, 3}, {m12}), std::span(&m12, 1));
 
-  auto first = list.on_processed(m11);
+  auto first = release(list, m11);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].mid, m12);
   // Caller processes (1,2) and reports it:
-  auto second = list.on_processed(m12);
+  auto second = release(list, m12);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].mid, (Mid{1, 3}));
   EXPECT_TRUE(list.empty());
@@ -197,7 +204,7 @@ TEST(WaitingList, PartialSatisfactionKeepsEntryIndexed) {
   WaitingList list;
   const std::vector<Mid> missing{{0, 1}, {0, 2}, {0, 3}};
   list.add(make({1, 1}, missing), missing);
-  (void)list.on_processed({0, 2});
+  (void)release(list, {0, 2});
   auto left = list.missing_mids();
   EXPECT_EQ(left.size(), 2u);
   EXPECT_TRUE(list.contains({1, 1}));
@@ -225,19 +232,19 @@ TEST(WaitingList, WakePathExaminesOnlyDependentsOfProcessedMid) {
 
   // Processing (0,1) wakes exactly its 3 dependents — never the 500
   // entries parked on origin 7.
-  auto released = list.on_processed(hot);
+  auto released = release(list, hot);
   EXPECT_EQ(released.size(), 2u);
   EXPECT_EQ(list.stats().wake_checks, 3u);
   EXPECT_EQ(list.stats().releases, 2u);
 
   // A delivery nothing waits on examines nothing.
-  EXPECT_TRUE(list.on_processed({0, 9}).empty());
+  EXPECT_TRUE(release(list, {0, 9}).empty());
   EXPECT_EQ(list.stats().wake_checks, 3u);
 
   // Finishing (0,2) touches only the one remaining dependent. Cumulative
   // checks stay at dependents-touched (4), far below the O(deliveries x
   // size) a rescan implementation would accumulate (> 1500 here).
-  released = list.on_processed({0, 2});
+  released = release(list, {0, 2});
   EXPECT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].mid, (Mid{4, 1}));
   EXPECT_EQ(list.stats().wake_checks, 4u);
