@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -170,6 +171,11 @@ struct FeatureParam {
   double omission;
   double packet_loss;
 };
+
+// Without this, gtest prints the parameter as raw bytes, which include the
+// `name` pointer and struct padding: the listed test names would then change
+// from one process to the next.
+void PrintTo(const FeatureParam& p, std::ostream* os) { *os << p.name; }
 
 class FeatureSweep : public testing::TestWithParam<FeatureParam> {};
 
