@@ -3,12 +3,11 @@
 // Sweeps group size n x payload size x runtime backend for urcgc and the
 // CBCAST / Psync baselines on a fault-free subnet, measuring wall-clock
 // throughput, delivery-delay percentiles and the wire-buffer accounting
-// (allocations and bytes physically copied per delivered message). Each
-// simulator point is also run under the legacy clone-per-destination cost
-// model (NetConfig::per_copy_payloads) so the zero-copy fan-out's saving
-// is measured inside one binary, against identical traffic: drop/latency
-// draws do not depend on the payload mode, so both runs deliver the same
-// messages and differ only in copy cost.
+// (allocations and bytes physically copied per delivered message). Every
+// run uses the zero-copy fan-out and, on the threaded and socket backends,
+// the SPSC-ring mailboxes, so each row's `payload_mode` is "shared" and its
+// `mailboxes` is "spsc" ("none" on the simulator); the fields stay in the
+// schema-version-1 document.
 //
 // Output: a human-readable table on stdout and, with --json=FILE, the
 // BENCH_throughput.json document whose schema PERFORMANCE.md documents
@@ -55,9 +54,7 @@ struct Options {
 struct RunResult {
   std::string protocol;
   std::string backend;
-  std::string payload_mode;  // "shared" | "per_copy"
-  int pipeline_k = 1;        // Config::max_subruns_in_flight
-  std::string mailboxes;     // "spsc" | "mutex" (threads) | "none" (sim)
+  int pipeline_k = 1;         // Config::max_subruns_in_flight
   std::int64_t round_us = 0;  // paced round cadence; 0 = free-running
   int n = 0;
   std::size_t payload_bytes = 0;
@@ -104,9 +101,9 @@ RunResult timed(Fn&& body) {
 }
 
 /// One urcgc measurement point. The classic fan-out matrix uses the
-/// defaults (k=1, SPSC mailboxes, full grace); the pipelined sweep sets
-/// pipeline_k / lockfree / grace_subruns / messages explicitly so the
-/// paced and pipelined legs differ in exactly one knob at a time.
+/// defaults (k=1, full grace); the pipelined sweep sets pipeline_k /
+/// grace_subruns / messages explicitly so the paced and pipelined legs
+/// differ in exactly one knob at a time.
 struct UrcgcPoint {
   bool threads = false;
   /// Real UDP loopback backend (rt::SocketRuntime); implies the threaded
@@ -114,9 +111,7 @@ struct UrcgcPoint {
   bool socket = false;
   int n = 0;
   std::size_t payload = 64;
-  bool per_copy = false;
   int pipeline_k = 1;
-  bool lockfree = true;
   int grace_subruns = 8;
   std::int64_t messages = 0;  // 0: Options::messages
   // Round cadence in microseconds (a round is 10 ticks); 0 free-runs the
@@ -138,14 +133,12 @@ RunResult run_urcgc(const Options& options, const UrcgcPoint& point) {
         point.messages > 0 ? point.messages : options.messages;
     config.workload.cross_dep_prob = 0.0;
     config.workload.payload_bytes = point.payload;
-    config.net.per_copy_payloads = point.per_copy;
     config.backend = point.socket    ? harness::Backend::kSocket
                      : point.threads ? harness::Backend::kThreads
                                      : harness::Backend::kSim;
     // round_us == 0 free-runs (measures work); otherwise rounds are paced
     // at the given cadence (10 ticks per round).
     config.thread_tick_ns = point.round_us * 100;
-    config.lockfree_mailboxes = point.lockfree;
     config.grace_subruns = point.grace_subruns;
     config.seed = options.seed;
     config.limit_rtd = 4000;
@@ -163,7 +156,7 @@ RunResult run_urcgc(const Options& options, const UrcgcPoint& point) {
 }
 
 RunResult run_baseline(const Options& options, bool cbcast, bool threads,
-                       int n, std::size_t payload, bool per_copy) {
+                       int n, std::size_t payload) {
   return timed([&] {
     baselines::BaselineConfig config;
     config.n = n;
@@ -174,7 +167,6 @@ RunResult run_baseline(const Options& options, bool cbcast, bool threads,
     config.backend =
         threads ? baselines::Backend::kThreads : baselines::Backend::kSim;
     config.thread_tick_ns = 0;
-    config.per_copy_payloads = per_copy;
     config.seed = options.seed;
     config.limit_rtd = 4000;
     const auto report =
@@ -219,10 +211,10 @@ void write_json(const Options& options,
     std::fprintf(f, "    {\n");
     std::fprintf(f, "      \"protocol\": \"%s\",\n", r.protocol.c_str());
     std::fprintf(f, "      \"backend\": \"%s\",\n", r.backend.c_str());
-    std::fprintf(f, "      \"payload_mode\": \"%s\",\n",
-                 r.payload_mode.c_str());
+    std::fprintf(f, "      \"payload_mode\": \"shared\",\n");
     std::fprintf(f, "      \"pipeline_k\": %d,\n", r.pipeline_k);
-    std::fprintf(f, "      \"mailboxes\": \"%s\",\n", r.mailboxes.c_str());
+    std::fprintf(f, "      \"mailboxes\": \"%s\",\n",
+                 r.backend == "sim" ? "none" : "spsc");
     std::fprintf(f, "      \"round_us\": %lld,\n",
                  static_cast<long long>(r.round_us));
     std::fprintf(f, "      \"n\": %d,\n", r.n);
@@ -324,22 +316,21 @@ int main(int argc, char** argv) {
       static_cast<long long>(options.messages),
       static_cast<unsigned long long>(options.seed));
 
-  harness::Table table({"protocol", "backend", "mode", "k", "mbox", "round",
-                        "n", "payload", "msgs/s", "delivs/s", "p50 rtd",
-                        "p99 rtd", "copied B/msg", "allocs/msg"});
+  harness::Table table({"protocol", "backend", "k", "round", "n", "payload",
+                        "msgs/s", "delivs/s", "p50 rtd", "p99 rtd",
+                        "copied B/msg", "allocs/msg"});
   std::vector<RunResult> results;
   bool all_ok = true;
   const auto emit = [&](RunResult result) {
     if (!result.ok) {
       std::fprintf(stderr,
-                   "VALIDATION FAILED: %s/%s n=%d payload=%zu %s k=%d %s\n",
+                   "VALIDATION FAILED: %s/%s n=%d payload=%zu k=%d\n",
                    result.protocol.c_str(), result.backend.c_str(), result.n,
-                   result.payload_bytes, result.payload_mode.c_str(),
-                   result.pipeline_k, result.mailboxes.c_str());
+                   result.payload_bytes, result.pipeline_k);
       all_ok = false;
     }
-    table.row({result.protocol, result.backend, result.payload_mode,
-               harness::Table::num(result.pipeline_k, 0), result.mailboxes,
+    table.row({result.protocol, result.backend,
+               harness::Table::num(result.pipeline_k, 0),
                result.round_us > 0
                    ? harness::Table::num(
                          static_cast<double>(result.round_us) / 1000.0, 0) +
@@ -363,29 +354,19 @@ int main(int argc, char** argv) {
     for (const std::string& protocol : protocols) {
       for (int n : group_sizes) {
         for (std::size_t payload : payloads) {
-          // Every simulator point runs in both payload modes (the per-copy
-          // leg reproduces the pre-zero-copy cost model); the threaded
-          // sweep sticks to the real configuration.
-          const int modes = threads ? 1 : 2;
-          for (int mode = 0; mode < modes; ++mode) {
-            const bool per_copy = mode == 1;
-            RunResult result =
-                protocol == "urcgc"
-                    ? run_urcgc(options, UrcgcPoint{.threads = threads,
-                                                    .n = n,
-                                                    .payload = payload,
-                                                    .per_copy = per_copy})
-                    : run_baseline(options, protocol == "cbcast", threads, n,
-                                   payload, per_copy);
-            result.protocol = protocol;
-            result.backend = backend;
-            result.payload_mode = per_copy ? "per_copy" : "shared";
-            result.mailboxes = threads ? "spsc" : "none";
-            result.n = n;
-            result.payload_bytes = payload;
-            result.seed = options.seed;
-            emit(std::move(result));
-          }
+          RunResult result =
+              protocol == "urcgc"
+                  ? run_urcgc(options, UrcgcPoint{.threads = threads,
+                                                  .n = n,
+                                                  .payload = payload})
+                  : run_baseline(options, protocol == "cbcast", threads, n,
+                                 payload);
+          result.protocol = protocol;
+          result.backend = backend;
+          result.n = n;
+          result.payload_bytes = payload;
+          result.seed = options.seed;
+          emit(std::move(result));
         }
       }
     }
@@ -410,8 +391,6 @@ int main(int argc, char** argv) {
             options, UrcgcPoint{.socket = true, .n = n, .payload = payload});
         result.protocol = "urcgc";
         result.backend = "socket";
-        result.payload_mode = "shared";
-        result.mailboxes = "spsc";
         result.n = n;
         result.payload_bytes = payload;
         result.seed = options.seed;
@@ -429,10 +408,9 @@ int main(int argc, char** argv) {
   // work on this host): both legs run the same cadence, so k=1 throughput
   // is bounded by the coordinator cadence while k>1 fills the rounds with
   // in-flight subruns. Simulator legs free-run in virtual time and report
-  // per-message compute cost instead. On the threaded backend the largest
-  // point also runs with the mutex mailboxes as the lock-free A/B baseline.
-  RunResult paced_head;    // threads, n_head, k=1, spsc
-  RunResult pipelined_head;  // threads, n_head, k=4, spsc
+  // per-message compute cost instead.
+  RunResult paced_head;      // threads, n_head, k=1
+  RunResult pipelined_head;  // threads, n_head, k=4
   if (options.protocol == "all" || options.protocol == "urcgc") {
     const std::vector<int> depths{1, 2, 4};
     const int n_head = group_sizes.back();
@@ -452,9 +430,7 @@ int main(int argc, char** argv) {
           RunResult result = run_urcgc(options, point);
           result.protocol = "urcgc";
           result.backend = backend;
-          result.payload_mode = "shared";
           result.pipeline_k = k;
-          result.mailboxes = threads ? "spsc" : "none";
           result.n = n;
           result.payload_bytes = point.payload;
           result.seed = options.seed;
@@ -465,48 +441,9 @@ int main(int argc, char** argv) {
           emit(std::move(result));
         }
       }
-      if (threads) {
-        for (int k : {1, 4}) {
-          UrcgcPoint point{.threads = true,
-                           .n = n_head,
-                           .pipeline_k = k,
-                           .lockfree = false,
-                           .grace_subruns = 2,
-                           .messages = 64LL * n_head,
-                           .round_us = round_cadence_us(n_head)};
-          RunResult result = run_urcgc(options, point);
-          result.protocol = "urcgc";
-          result.backend = backend;
-          result.payload_mode = "shared";
-          result.pipeline_k = k;
-          result.mailboxes = "mutex";
-          result.n = n_head;
-          result.payload_bytes = point.payload;
-          result.seed = options.seed;
-          emit(std::move(result));
-        }
-      }
     }
   }
   table.print();
-
-  // Headline comparison the acceptance criterion tracks: shared vs per-copy
-  // bytes copied per delivered message at the largest simulated point.
-  const RunResult* shared_head = nullptr;
-  const RunResult* cloned_head = nullptr;
-  for (const RunResult& r : results) {
-    if (r.protocol != "urcgc" || r.backend != "sim") continue;
-    if (r.n != 200 || r.payload_bytes != 16384) continue;
-    (r.payload_mode == "shared" ? shared_head : cloned_head) = &r;
-  }
-  if (shared_head != nullptr && cloned_head != nullptr) {
-    const double before = cloned_head->bytes_copied_per_delivered_message();
-    const double after = shared_head->bytes_copied_per_delivered_message();
-    std::printf(
-        "\nheadline (urcgc, sim, n=200, 16 KiB): %.1f -> %.1f bytes "
-        "copied/delivered message (%.0fx reduction, requirement >= 5x: %s)\n",
-        before, after, before / after, before / after >= 5.0 ? "OK" : "FAIL");
-  }
 
   // Pipelining headline: msgs/s and p50 delay at the largest threaded
   // point, k=4 vs the paced k=1 leg of the same sweep.

@@ -129,8 +129,7 @@ BaselineReport run_cbcast(const BaselineConfig& config) {
   net::Network network(rt, injector,
                        {.min_latency = 5,
                         .max_latency = 9,
-                        .metrics = config.metrics,
-                        .per_copy_payloads = config.per_copy_payloads},
+                        .metrics = config.metrics},
                        Rng(config.seed).fork(2));
 
   // On the threaded backend observer callbacks arrive concurrently from
@@ -288,8 +287,7 @@ BaselineReport run_psync(const BaselineConfig& config) {
   net::Network network(rt, injector,
                        {.min_latency = 5,
                         .max_latency = 9,
-                        .metrics = config.metrics,
-                        .per_copy_payloads = config.per_copy_payloads},
+                        .metrics = config.metrics},
                        Rng(config.seed).fork(5));
 
   struct Recorder : PsyncObserver {

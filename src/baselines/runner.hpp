@@ -48,9 +48,6 @@ struct BaselineConfig {
   Backend backend = Backend::kSim;
   /// Real duration of one tick on the threaded backend (0 = free-running).
   std::int64_t thread_tick_ns = 50'000;
-  /// Legacy clone-per-destination payload cost model (see
-  /// net::NetConfig::per_copy_payloads).
-  bool per_copy_payloads = false;
   /// Psync only: waiting-room bound (0 = unbounded); beyond it arriving
   /// undeliverable messages are deleted (Psync's flow control).
   std::size_t psync_waiting_bound = 0;

@@ -205,7 +205,6 @@ ExperimentReport Experiment::run() {
     tc.n = n_total;
     tc.clock = clock;
     tc.tick_duration = std::chrono::nanoseconds(config_.thread_tick_ns);
-    tc.lockfree_mailboxes = config_.lockfree_mailboxes;
     tc.metrics = config_.metrics;
     runtime = std::make_unique<rt::ThreadedRuntime>(tc);
   } else if (config_.backend == Backend::kSocket) {
@@ -213,7 +212,6 @@ ExperimentReport Experiment::run() {
     sc.n = n_total;
     sc.clock = clock;
     sc.tick_duration = std::chrono::nanoseconds(config_.thread_tick_ns);
-    sc.lockfree_mailboxes = config_.lockfree_mailboxes;
     sc.metrics = config_.metrics;
     auto created = rt::SocketRuntime::create(sc);
     URCGC_ASSERT_MSG(created.has_value(),

@@ -110,10 +110,6 @@ struct ExperimentConfig {
   Backend backend = Backend::kSim;
   /// Real duration of one tick on the threaded backend (0 = free-running).
   std::int64_t thread_tick_ns = 50'000;
-  /// SPSC-ring mailboxes on the threaded backend (the default); false
-  /// restores the mutex-guarded path — the A/B baseline and equivalence
-  /// oracle for the lock-free hot path. Ignored on kSim.
-  bool lockfree_mailboxes = true;
   /// Extra subruns executed after first quiescence so stability decisions
   /// and final cleanings settle.
   int grace_subruns = 8;
@@ -209,8 +205,7 @@ struct ExperimentReport {
   /// Wire-buffer accounting over this run (delta of the process-global
   /// wire::buffer_stats() across run()). `bytes_allocated` ≈ serialization
   /// cost, `bytes_copied` ≈ post-serialization duplication — zero-copy
-  /// fan-out keeps the latter at 0 unless NetConfig::per_copy_payloads
-  /// restores the legacy clone-per-destination model.
+  /// fan-out keeps the latter at 0 on the in-memory backends.
   wire::BufferStats buffers;
 
   // Time series in (rtd, value) — Figure 6.

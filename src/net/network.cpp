@@ -19,9 +19,6 @@ Network::Network(rt::Runtime& runtime, fault::FaultInjector& faults,
     m_dropped_ = config_.metrics->counter("net.packets_dropped");
     m_delivered_ = config_.metrics->counter("net.packets_delivered");
     m_bytes_delivered_ = config_.metrics->counter("net.bytes_delivered");
-    m_payload_copies_ = config_.metrics->counter("net.payload_copies");
-    m_payload_bytes_copied_ =
-        config_.metrics->counter("net.payload_bytes_copied");
   }
 }
 
@@ -75,24 +72,6 @@ void Network::send_copy(ProcessId src, ProcessId dst,
   if (config_.metrics != nullptr) {
     config_.metrics->add(src, m_sent_);
     config_.metrics->add(src, m_bytes_sent_, payload.size());
-  }
-
-  // Legacy cost model: one private payload clone per aliased in-flight
-  // copy, exactly what the subnet paid before SharedBuffer (unicast moved
-  // its single copy, multicast/broadcast duplicated per destination). The
-  // drop/latency draws above are untouched, so deliveries are
-  // bit-identical in both modes.
-  if (config_.per_copy_payloads && payload.use_count() > 1) {
-    payload = wire::SharedBuffer::copy(payload.view());
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.payload_copies;
-      stats_.payload_bytes_copied += payload.size();
-    }
-    if (config_.metrics != nullptr) {
-      config_.metrics->add(src, m_payload_copies_);
-      config_.metrics->add(src, m_payload_bytes_copied_, payload.size());
-    }
   }
 
   // Every fault and latency decision has been drawn above, on the sender

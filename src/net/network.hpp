@@ -18,10 +18,7 @@
 // Fan-out is zero-copy: every destination's in-flight copy shares the
 // sender's one wire::SharedBuffer (n-unicast still means n datagrams, n
 // latency draws and n fault decisions — only the payload storage is
-// shared). NetConfig::per_copy_payloads restores the historical
-// clone-per-destination cost model for A/B measurement and equivalence
-// tests; the fault decisions and latency draws are identical either way,
-// so delivered bytes must match bit-for-bit.
+// shared).
 
 #include <functional>
 #include <mutex>
@@ -47,9 +44,6 @@ struct NetConfig {
   /// event executes in the destination's context) — so the per-shard
   /// ownership rule holds without any extra locking.
   obs::Registry* metrics = nullptr;
-  /// Legacy cost model: clone the payload for every aliased datagram copy
-  /// (what the subnet did before SharedBuffer). Off = zero-copy fan-out.
-  bool per_copy_payloads = false;
 };
 
 /// Upcall invoked when a packet reaches a (non-crashed) destination.
@@ -128,8 +122,6 @@ class Network {
   obs::Metric m_dropped_{};
   obs::Metric m_delivered_{};
   obs::Metric m_bytes_delivered_{};
-  obs::Metric m_payload_copies_{};
-  obs::Metric m_payload_bytes_copied_{};
 };
 
 }  // namespace urcgc::net

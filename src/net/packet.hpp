@@ -30,11 +30,6 @@ struct NetStats {
   std::uint64_t packets_dropped = 0;    // omission/loss/crash drops
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_delivered = 0;
-  // Per-destination payload clones materialized by the subnet: always zero
-  // in the default shared (zero-copy) mode, one clone per aliased copy in
-  // NetConfig::per_copy_payloads mode (the pre-SharedBuffer cost model).
-  std::uint64_t payload_copies = 0;
-  std::uint64_t payload_bytes_copied = 0;
 };
 
 }  // namespace urcgc::net

@@ -47,6 +47,11 @@ bool transient_errno(int err) {
 
 constexpr int kRetryBudget = 4096;  // yields per datagram before dropping
 
+bool same_address(const sockaddr_in& a, const sockaddr_in& b) {
+  return a.sin_family == b.sin_family && a.sin_port == b.sin_port &&
+         a.sin_addr.s_addr == b.sin_addr.s_addr;
+}
+
 }  // namespace
 
 struct SocketRuntime::Context {
@@ -56,6 +61,7 @@ struct SocketRuntime::Context {
   // Owner-thread-only working state:
   std::vector<TxEntry> tx;
   std::vector<std::uint8_t> rx_buf;  // max_batch * max_datagram slices
+  std::vector<sockaddr_in> rx_from;  // source address of each rx_buf slice
   // Diagnostics: written by the owning thread, read by anyone (relaxed).
   std::atomic<std::uint64_t> tx_datagrams{0};
   std::atomic<std::uint64_t> rx_datagrams{0};
@@ -313,7 +319,7 @@ void SocketRuntime::flush_tx(int idx) {
 }
 
 void SocketRuntime::handle_frame(int idx, const std::uint8_t* data,
-                                 std::size_t len) {
+                                 std::size_t len, const sockaddr_in& from) {
   Context& ctx = *contexts_[idx];
   obs::Registry* reg = socket_config_.metrics;
   const auto reject = [&] {
@@ -327,6 +333,12 @@ void SocketRuntime::handle_frame(int idx, const std::uint8_t* data,
   const std::uint32_t payload_len = load_u32(data + 24);
   if (payload_len != len - kHeaderSize) return reject();
   if (src < 0 || src >= threaded_config().n) return reject();
+  // The header's src is only a claim: accept it from the socket of that
+  // member or of the driver context, which sends for any process.
+  if (!same_address(from, contexts_[src]->addr) &&
+      !same_address(from, contexts_[threaded_config().n]->addr)) {
+    return reject();
+  }
   if (idx >= threaded_config().n ||
       !rx_fns_[static_cast<std::size_t>(idx)]) {
     // Valid frame for a context nothing listens on (the driver, or an
@@ -354,12 +366,15 @@ void SocketRuntime::collect_external(int idx, Tick /*cutoff*/) {
   if (socket_config_.max_batch > 1) {
     const auto batch = static_cast<std::size_t>(socket_config_.max_batch);
     if (ctx.rx_buf.size() < batch * slot) ctx.rx_buf.resize(batch * slot);
+    if (ctx.rx_from.size() < batch) ctx.rx_from.resize(batch);
     std::vector<mmsghdr> msgs(batch);
     std::vector<iovec> iovs(batch);
     for (;;) {
       for (std::size_t i = 0; i < batch; ++i) {
         iovs[i] = {ctx.rx_buf.data() + i * slot, slot};
         msgs[i] = mmsghdr{};
+        msgs[i].msg_hdr.msg_name = &ctx.rx_from[i];
+        msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
         msgs[i].msg_hdr.msg_iov = &iovs[i];
         msgs[i].msg_hdr.msg_iovlen = 1;
       }
@@ -379,19 +394,23 @@ void SocketRuntime::collect_external(int idx, Tick /*cutoff*/) {
         reg->observe(sh, m_rx_batch_, static_cast<double>(got));
       }
       for (int i = 0; i < got; ++i) {
-        handle_frame(idx, ctx.rx_buf.data() + static_cast<std::size_t>(i) * slot,
-                     msgs[static_cast<std::size_t>(i)].msg_len);
+        const auto at = static_cast<std::size_t>(i);
+        handle_frame(idx, ctx.rx_buf.data() + at * slot, msgs[at].msg_len,
+                     ctx.rx_from[at]);
       }
       if (static_cast<std::size_t>(got) < batch) return;
     }
   }
 #endif
   if (ctx.rx_buf.size() < slot) ctx.rx_buf.resize(slot);
+  if (ctx.rx_from.empty()) ctx.rx_from.resize(1);
   for (;;) {
     ctx.recv_calls.fetch_add(1, std::memory_order_relaxed);
     if (reg != nullptr) reg->add(sh, m_recv_calls_);
-    const ssize_t got =
-        ::recv(ctx.fd, ctx.rx_buf.data(), slot, MSG_DONTWAIT);
+    socklen_t from_len = sizeof(sockaddr_in);
+    const ssize_t got = ::recvfrom(
+        ctx.fd, ctx.rx_buf.data(), slot, MSG_DONTWAIT,
+        reinterpret_cast<sockaddr*>(ctx.rx_from.data()), &from_len);
     if (got < 0) {
       if (errno == EINTR) continue;
       return;
@@ -401,7 +420,8 @@ void SocketRuntime::collect_external(int idx, Tick /*cutoff*/) {
       reg->add(sh, m_rx_dgrams_);
       reg->observe(sh, m_rx_batch_, 1.0);
     }
-    handle_frame(idx, ctx.rx_buf.data(), static_cast<std::size_t>(got));
+    handle_frame(idx, ctx.rx_buf.data(), static_cast<std::size_t>(got),
+                 ctx.rx_from[0]);
   }
 }
 

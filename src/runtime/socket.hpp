@@ -20,9 +20,11 @@
 //       at the end of the context's round, before it parks), one sendmsg
 //       each on non-Linux systems or with max_batch = 1.
 //   rx: at the top of every drain the context pulls everything its socket
-//       holds (recvmmsg until EAGAIN), validates the header — a short or
-//       corrupt frame is counted in `net.decode_rejected` and dropped —
-//       and enqueues the payload as a local task at the frame's due tick.
+//       holds (recvmmsg until EAGAIN), validates the header and the
+//       sender's address — a short or corrupt frame, or one whose claimed
+//       src was not sent from that member's (or the driver's) socket, is
+//       counted in `net.decode_rejected` and dropped — and enqueues the
+//       payload as a local task at the frame's due tick.
 //
 // Round synchrony: a localhost UDP send is queued into the destination
 // socket's receive buffer synchronously, and a context flushes its batch
@@ -49,6 +51,8 @@
 #include "runtime/subnet.hpp"
 #include "runtime/threaded.hpp"
 #include "wire/shared_buffer.hpp"
+
+struct sockaddr_in;
 
 namespace urcgc::rt {
 
@@ -97,7 +101,8 @@ class SocketRuntime final : public ThreadedRuntime, public DatagramSubnet {
   /// Datagrams dropped on the tx side after the retry budget ran out.
   [[nodiscard]] std::uint64_t tx_dropped() const;
   /// Frames rejected at the decode boundary (short, bad magic, length
-  /// mismatch, out-of-range source).
+  /// mismatch, out-of-range source, or a source address that is neither
+  /// the claimed member's socket nor the driver's).
   [[nodiscard]] std::uint64_t rx_rejected() const;
   /// Datagrams still in socket buffers or unflushed batches at shutdown
   /// (also included in discarded_on_shutdown()).
@@ -126,7 +131,8 @@ class SocketRuntime final : public ThreadedRuntime, public DatagramSubnet {
 
   [[nodiscard]] ProcessId shard(int idx) const;
   void flush_tx(int idx);
-  void handle_frame(int idx, const std::uint8_t* data, std::size_t len);
+  void handle_frame(int idx, const std::uint8_t* data, std::size_t len,
+                    const sockaddr_in& from);
 
   SocketConfig socket_config_;
   std::vector<std::unique_ptr<Context>> contexts_;  // [n workers + driver]

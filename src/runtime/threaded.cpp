@@ -20,7 +20,6 @@ ThreadedRuntime::ThreadedRuntime(ThreadedConfig config)
     : config_(config), clock_(config.clock) {
   URCGC_ASSERT(config_.n >= 1);
   URCGC_ASSERT(config_.tick_duration.count() >= 0);
-  URCGC_ASSERT(config_.ring_capacity >= 1);
   if (config_.metrics != nullptr) {
     m_rounds_ = config_.metrics->counter("runtime.rounds");
     m_release_lag_ = config_.metrics->histogram(
@@ -30,19 +29,16 @@ ThreadedRuntime::ThreadedRuntime(ThreadedConfig config)
         config_.metrics->counter("runtime.mailbox_ring_overflow");
   }
   mailboxes_.reserve(static_cast<std::size_t>(config_.n) + 1);
+  const auto n = static_cast<std::size_t>(config_.n);
   for (int i = 0; i <= config_.n; ++i) {
     auto mailbox = std::make_unique<Mailbox>();
-    if (config_.lockfree_mailboxes) {
-      const auto n = static_cast<std::size_t>(config_.n);
-      mailbox->rings.reserve(n);
-      for (int p = 0; p < config_.n; ++p) {
-        mailbox->rings.push_back(
-            std::make_unique<SpscRing<Task>>(config_.ring_capacity));
-      }
-      mailbox->producer_seq.assign(n, 0);
-      mailbox->seen_upto.assign(n, 0);
-      mailbox->ooo.resize(n);
+    mailbox->rings.reserve(n);
+    for (int p = 0; p < config_.n; ++p) {
+      mailbox->rings.push_back(std::make_unique<SpscRing<Task>>(kRingCapacity));
     }
+    mailbox->producer_seq.assign(n, 0);
+    mailbox->seen_upto.assign(n, 0);
+    mailbox->ooo.resize(n);
     mailboxes_.push_back(std::move(mailbox));
   }
   threads_.reserve(config_.n);
@@ -96,7 +92,7 @@ void ThreadedRuntime::post(ProcessId owner, Tick delay, EventFn fn) {
   const int idx = owner == kNoProcess ? config_.n : owner;
   Task task{now() + delay, post_order_.fetch_add(1, std::memory_order_relaxed),
             std::move(fn)};
-  if (config_.lockfree_mailboxes && t_ring_owner == this) {
+  if (t_ring_owner == this) {
     Mailbox& mailbox = *mailboxes_[idx];
     // Stamp the channel sequence before attempting the push: whether this
     // task lands in the ring or spills, the consumer can tell whether any
@@ -165,21 +161,19 @@ void ThreadedRuntime::on_round(ProcessId owner, RoundHandler handler) {
 void ThreadedRuntime::drain(int idx, Tick cutoff) {
   Mailbox& mailbox = *mailboxes_[idx];
   collect_external(idx, cutoff);
-  if (config_.lockfree_mailboxes) {
-    // Coalesce: pull everything the producers published, then the spill,
-    // into the consumer-private pending list. Rings are FIFO per producer
-    // but task due-times are not monotone (a transport retry outlives the
-    // round), so due/not-yet-due is decided on the merged list.
-    for (auto& ring : mailbox.rings) {
-      Task task;
-      while (ring->try_pop(task)) {
-        note_collected(mailbox, task);
-        mailbox.pending.push_back(std::move(task));
-      }
+  // Coalesce: pull everything the producers published, then the spill,
+  // into the consumer-private pending list. Rings are FIFO per producer
+  // but task due-times are not monotone (a transport retry outlives the
+  // round), so due/not-yet-due is decided on the merged list.
+  for (auto& ring : mailbox.rings) {
+    Task task;
+    while (ring->try_pop(task)) {
+      note_collected(mailbox, task);
+      mailbox.pending.push_back(std::move(task));
     }
-    if (config_.test_between_ring_and_spill) {
-      config_.test_between_ring_and_spill(idx, cutoff);
-    }
+  }
+  if (config_.test_between_ring_and_spill) {
+    config_.test_between_ring_and_spill(idx, cutoff);
   }
   {
     std::lock_guard<std::mutex> lk(mailbox.mu);

@@ -7,10 +7,10 @@
 // std::chrono::steady_clock: round r opens no earlier than
 // epoch + round_start(r) * tick_duration.
 //
-// Mailbox structure (ThreadedConfig::lockfree_mailboxes, the default):
-// each consumer context owns one fixed-capacity SPSC ring per worker
-// producer, so the hot path — a worker posting a datagram into another
-// worker's mailbox — is a single lock-free push. The consumer coalesces
+// Mailbox structure: each consumer context owns one fixed-capacity
+// (kRingCapacity) SPSC ring per worker producer, so the hot path — a
+// worker posting a datagram into another worker's mailbox — is a single
+// lock-free push. The consumer coalesces
 // all of its rings into a private pending list once per round, then
 // executes the due tasks in (due, post-order) order; not-yet-due tasks
 // (e.g. transport retries) stay in the pending list, which only the
@@ -20,8 +20,7 @@
 // (producer,consumer) channel sequence number so an overflow cannot be
 // executed ahead of ring-resident predecessors the consumer has not
 // collected yet — the drain holds a task back until its channel prefix is
-// complete, preserving per-channel FIFO. The mutex-only path is kept
-// behind the flag as the A/B and equivalence oracle for the ring path.
+// complete, preserving per-channel FIFO.
 //
 // Execution model per round r (driver thread = the caller of run_until*):
 //   1. driver waits for the steady-clock round boundary, advances now()
@@ -71,15 +70,6 @@ struct ThreadedConfig {
   /// steady_clock at this rate. Zero = free-running (rounds proceed as
   /// fast as the barrier allows; ordering guarantees are unchanged).
   std::chrono::nanoseconds tick_duration = std::chrono::microseconds(50);
-  /// Per-(producer, consumer) SPSC rings on the worker post path (see the
-  /// header comment). false = every post takes the mailbox mutex, the
-  /// pre-ring behavior — kept as the A/B baseline and equivalence oracle.
-  bool lockfree_mailboxes = true;
-  /// Capacity of each SPSC ring. A worker posts a handful of tasks per
-  /// destination per round (datagram copies, retries), so a small ring
-  /// absorbs the hot path; overflow falls back to the mutex spill vector,
-  /// counted in `runtime.mailbox_ring_overflow`.
-  std::size_t ring_capacity = 16;
   /// Optional observability registry: the runtime records rounds run and
   /// the release lag (how late each round opened versus its steady-clock
   /// target) on the host shard — driver-context only, per the registry's
@@ -95,6 +85,12 @@ struct ThreadedConfig {
 
 class ThreadedRuntime : public Runtime {
  public:
+  /// Capacity of each SPSC ring. A worker posts a handful of tasks per
+  /// destination per round (datagram copies, retries), so a small ring
+  /// absorbs the hot path; overflow falls back to the mutex spill vector,
+  /// counted in `runtime.mailbox_ring_overflow`.
+  static constexpr std::size_t kRingCapacity = 16;
+
   explicit ThreadedRuntime(ThreadedConfig config);
   ~ThreadedRuntime() override;
 
@@ -177,11 +173,11 @@ class ThreadedRuntime : public Runtime {
     Tick due = 0;
     std::uint64_t order = 0;  // global post order: stable tie-break
     EventFn fn;
-    // Per-(producer, consumer) channel identity for the lock-free path:
-    // worker `producer` stamped this task with channel sequence `seq`
-    // (1-based, contiguous per channel). -1 = posted under the mailbox
-    // mutex by a non-worker (driver, tests) — the spill vector is FIFO
-    // and collected whole, so those need no gap tracking.
+    // Per-(producer, consumer) channel identity: worker `producer` stamped
+    // this task with channel sequence `seq` (1-based, contiguous per
+    // channel). -1 = posted under the mailbox mutex by a non-worker
+    // (driver, tests) — the spill vector is FIFO and collected whole, so
+    // those need no gap tracking.
     int producer = -1;
     std::uint64_t seq = 0;
   };
@@ -200,7 +196,7 @@ class ThreadedRuntime : public Runtime {
     std::vector<RoundHandler> handlers;
     std::vector<std::unique_ptr<SpscRing<Task>>> rings;  // [worker producer]
     std::vector<Task> pending;  // consumer-owned carry-over
-    // Channel sequence numbers (lock-free mode only, all sized n):
+    // Channel sequence numbers (all sized n):
     std::vector<std::uint64_t> producer_seq;  // last seq stamped, per worker
     std::vector<std::uint64_t> seen_upto;     // collected prefix, per worker
     std::vector<std::vector<std::uint64_t>> ooo;  // collected beyond a gap

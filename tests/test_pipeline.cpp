@@ -206,25 +206,17 @@ TEST(Pipeline, DepthFourDeliversEagerlyAndFinishesSooner) {
             paced.traffic.count(stats::MsgClass::kDecision));
 }
 
-TEST(Pipeline, MutexAndLockfreeMailboxesAgreeAtDepthFour) {
-  // The runtime A/B oracle: the SPSC rings and the mutex mailboxes must
-  // carry the pipelined workload to the same totals with every clause
-  // green (CI also runs this under TSan).
+TEST(Pipeline, ThreadedMailboxesCarryDepthFour) {
+  // The SPSC-ring mailboxes must carry the pipelined workload to the
+  // expected totals with every clause green (CI also runs this under TSan).
   auto config = pipelined_config(4, 33);
   config.backend = harness::Backend::kThreads;
   config.thread_tick_ns = 0;
-
-  config.lockfree_mailboxes = true;
-  const auto lockfree = harness::Experiment(config).run();
-  config.lockfree_mailboxes = false;
-  const auto mutex = harness::Experiment(config).run();
-
-  for (const auto* report : {&lockfree, &mutex}) {
-    EXPECT_TRUE(report->all_ok());
-    EXPECT_TRUE(report->workload_exhausted);
-    EXPECT_EQ(report->generated, 96u);
-    EXPECT_EQ(report->processed_events, 96u * 6);
-  }
+  const auto report = harness::Experiment(config).run();
+  EXPECT_TRUE(report.all_ok());
+  EXPECT_TRUE(report.workload_exhausted);
+  EXPECT_EQ(report.generated, 96u);
+  EXPECT_EQ(report.processed_events, 96u * 6);
 }
 
 TEST(Pipeline, TotalOrderAgreesAtDepthFour) {

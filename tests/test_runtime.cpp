@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -145,27 +146,24 @@ TEST(ThreadedRuntime, ShutdownCountsUndrainedTasks) {
   // Regression for the mailbox lifecycle contract: tasks still pending
   // when shutdown() joins the workers are discarded, never executed, and
   // the loss is visible through discarded_on_shutdown() and the
-  // `runtime.mailbox_discarded` counter — under both mailbox kinds.
-  for (const bool lockfree : {true, false}) {
-    obs::Registry registry(2);
-    ThreadedConfig config = free_running(2);
-    config.lockfree_mailboxes = lockfree;
-    config.metrics = &registry;
-    ThreadedRuntime rt(config);
-    rt.on_round(0, [](RoundId) {});
-    rt.run_until(19);
-    // Due ticks far past the horizon: these tasks can never drain.
-    bool ran = false;
-    for (int i = 0; i < 3; ++i) {
-      rt.post(1, /*delay=*/100'000, [&ran] { ran = true; });
-    }
-    EXPECT_EQ(rt.discarded_on_shutdown(), 0u) << "before shutdown";
-    rt.shutdown();
-    EXPECT_FALSE(ran) << "lockfree=" << lockfree;
-    EXPECT_EQ(rt.discarded_on_shutdown(), 3u) << "lockfree=" << lockfree;
-    const obs::Metric m = registry.find("runtime.mailbox_discarded");
-    EXPECT_EQ(registry.counter_total(m), 3u) << "lockfree=" << lockfree;
+  // `runtime.mailbox_discarded` counter.
+  obs::Registry registry(2);
+  ThreadedConfig config = free_running(2);
+  config.metrics = &registry;
+  ThreadedRuntime rt(config);
+  rt.on_round(0, [](RoundId) {});
+  rt.run_until(19);
+  // Due ticks far past the horizon: these tasks can never drain.
+  bool ran = false;
+  for (int i = 0; i < 3; ++i) {
+    rt.post(1, /*delay=*/100'000, [&ran] { ran = true; });
   }
+  EXPECT_EQ(rt.discarded_on_shutdown(), 0u) << "before shutdown";
+  rt.shutdown();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(rt.discarded_on_shutdown(), 3u);
+  const obs::Metric m = registry.find("runtime.mailbox_discarded");
+  EXPECT_EQ(registry.counter_total(m), 3u);
 }
 
 TEST(ThreadedRuntime, RingOverflowPreservesPerChannelFifo) {
@@ -176,11 +174,10 @@ TEST(ThreadedRuntime, RingOverflowPreservesPerChannelFifo) {
   // of earlier-posted work. The drain now holds a task back until its
   // channel prefix is collected. Force the exact interleaving with the
   // test hook: park consumer 1 between its ring pass and its spill merge,
-  // have worker 0 fill the ring (capacity 4) and overflow a fifth task,
-  // then let the consumer proceed.
-  constexpr int kBurst = 5;
+  // have worker 0 fill the ring and overflow one more task, then let the
+  // consumer proceed.
+  constexpr int kBurst = static_cast<int>(ThreadedRuntime::kRingCapacity) + 1;
   ThreadedConfig config = free_running(2);
-  config.ring_capacity = 4;
   std::atomic<int> stage{0};
   config.test_between_ring_and_spill = [&stage](int idx, Tick cutoff) {
     if (idx != 1 || cutoff != 30) return;  // context 1, round 3 only
@@ -200,7 +197,9 @@ TEST(ThreadedRuntime, RingOverflowPreservesPerChannelFifo) {
   });
   rt.run_until(49);
   EXPECT_GE(rt.ring_overflows(), 1u) << "burst did not overflow the ring";
-  EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4, 5}));
+  std::vector<int> expected(kBurst);
+  std::iota(expected.begin(), expected.end(), 1);
+  EXPECT_EQ(log, expected);
 }
 
 TEST(ThreadedRuntime, WallClockPacingRespectsTickDuration) {

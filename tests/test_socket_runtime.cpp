@@ -226,20 +226,29 @@ TEST(SocketRuntime, GarbageDatagramsAreCountedAndDroppedNotFatal) {
   raw.send_to(rt->port(1), bad_len.data(), bad_len.size());
   const auto bad_src = make_frame(SocketRuntime::kMagic, 99, 0, 5, body, 4);
   raw.send_to(rt->port(1), bad_src.data(), bad_src.size());
-  // One well-formed raw frame: the decode boundary must still accept valid
-  // traffic interleaved with the garbage.
+  // Well-formed frames from sockets the runtime does not own: the header's
+  // src is only a claim, so a foreign sender cannot pose as member 0 —
+  // neither from an unbound socket nor from one bound on loopback like a
+  // real context.
   raw.send_to(rt->port(1), valid.data(), valid.size());
+  RawSender spoofer;
+  ASSERT_NE(spoofer.bind_ephemeral(), 0);
+  const std::vector<std::uint8_t> spoof_body{6, 6};
+  const auto spoof = make_frame(SocketRuntime::kMagic, 0, 0, 5, spoof_body,
+                                static_cast<std::uint32_t>(spoof_body.size()));
+  spoofer.send_to(rt->port(1), spoof.data(), spoof.size());
 
   rt->run_until(29);
-  ASSERT_EQ(received.size(), 1u) << "valid frame lost amid garbage";
-  EXPECT_EQ(received[0], body);
-  EXPECT_EQ(rt->rx_rejected(), 8u);
-  EXPECT_EQ(registry.counter_total(registry.find("net.decode_rejected")), 8u);
+  EXPECT_TRUE(received.empty()) << "a raw frame passed the decode boundary";
+  EXPECT_EQ(rt->rx_rejected(), 10u);
+  EXPECT_EQ(registry.counter_total(registry.find("net.decode_rejected")), 10u);
 
-  // The runtime must remain fully functional after rejecting garbage.
+  // The runtime must remain fully functional after rejecting garbage:
+  // valid traffic from its own sockets is still accepted.
   rt->send(0, 1, rt->now(), rt->now() + 5, payload_of({9}));
   rt->run_until(59);
-  EXPECT_EQ(received.size(), 2u);
+  ASSERT_EQ(received.size(), 1u) << "valid frame lost after the garbage";
+  EXPECT_EQ(received[0], std::vector<std::uint8_t>{9});
 }
 
 TEST(SocketRuntime, ShutdownCountsInFlightDatagramsAndClosesSockets) {

@@ -97,8 +97,9 @@ TEST(SpscRing, WraparoundPreservesFifoAcrossManyCycles) {
 
 TEST(SpscRing, CrossThreadStressDeliversEverythingInOrder) {
   // One producer, one consumer, a deliberately tiny ring so both sides
-  // constantly hit the full/empty boundaries. TSan (CI job `tsan`) checks
-  // the acquire/release pairing; the sequence check below checks FIFO.
+  // constantly hit the full/empty boundaries. TSan (the CI `sanitizers`
+  // job) checks the acquire/release pairing; the sequence check below
+  // checks FIFO.
   constexpr int kMessages = 50'000;
   SpscRing<int> ring(8);
   std::thread producer([&] {

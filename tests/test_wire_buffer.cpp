@@ -96,7 +96,7 @@ TEST(SharedBuffer, RvalueVectorConvertsImplicitly) {
 // ---- Fan-out behaviour on the subnet -----------------------------------
 
 struct SimRig {
-  explicit SimRig(int n, double loss, bool per_copy, std::uint64_t seed = 7)
+  explicit SimRig(int n, double loss, std::uint64_t seed = 7)
       : injector(
             [&] {
               fault::FaultPlan plan(n);
@@ -104,10 +104,7 @@ struct SimRig {
               return plan;
             }(),
             Rng(seed).fork(1)),
-        network(sim, injector,
-                {.min_latency = 1,
-                 .max_latency = 4,
-                 .per_copy_payloads = per_copy},
+        network(sim, injector, {.min_latency = 1, .max_latency = 4},
                 Rng(seed).fork(2)) {}
 
   sim::Simulation sim;
@@ -117,7 +114,7 @@ struct SimRig {
 
 TEST(ZeroCopyFanOut, BroadcastSharesOneBufferAcrossAllDeliveries) {
   constexpr int kN = 8;
-  SimRig rig(kN, /*loss=*/0.0, /*per_copy=*/false);
+  SimRig rig(kN, /*loss=*/0.0);
   std::vector<net::Packet> received;
   for (ProcessId p = 0; p < kN; ++p) {
     rig.network.attach(p, [&](const net::Packet& packet) {
@@ -135,79 +132,62 @@ TEST(ZeroCopyFanOut, BroadcastSharesOneBufferAcrossAllDeliveries) {
   const BufferStats delta = buffer_stats() - before;
   EXPECT_EQ(delta.allocations, 0u);  // the whole fan-out allocated nothing
   EXPECT_EQ(delta.bytes_copied, 0u);
-  EXPECT_EQ(rig.network.stats().payload_copies, 0u);
 }
 
-TEST(ZeroCopyFanOut, PerCopyModeClonesEveryAliasedDatagram) {
-  constexpr int kN = 8;
-  SimRig rig(kN, /*loss=*/0.0, /*per_copy=*/true);
+// Scripted traffic under 30 % loss: every delivered payload must equal the
+// bytes the script built for its round, whichever copies were dropped. The
+// first byte of each round's payload names the round, so a delivery can be
+// checked on its own.
+
+std::vector<std::uint8_t> sim_round_payload(RoundId round) {
+  std::vector<std::uint8_t> payload(16 + round % 5);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(round + i);
+  }
+  return payload;
+}
+
+TEST(ZeroCopyFanOut, DeliversScriptedBytesUnderOmission) {
+  constexpr int kN = 6;
+  constexpr RoundId kRounds = 20;
+  SimRig rig(kN, /*loss=*/0.3);
   std::vector<net::Packet> received;
   for (ProcessId p = 0; p < kN; ++p) {
-    rig.network.attach(p, [&](const net::Packet& packet) {
+    rig.network.attach(p, [&received](const net::Packet& packet) {
       received.push_back(packet);
     });
   }
-  const SharedBuffer frame = SharedBuffer::take(bytes_of({1, 2, 3, 4}));
-  rig.network.broadcast(0, frame);
-  rig.sim.run_until(100);
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(kN - 1));
-  for (const net::Packet& packet : received) {
-    EXPECT_FALSE(packet.payload.aliases(frame));
-    EXPECT_EQ(packet.payload, frame);  // same bytes, private storage
-  }
-  EXPECT_EQ(rig.network.stats().payload_copies,
-            static_cast<std::uint64_t>(kN - 1));
-  EXPECT_EQ(rig.network.stats().payload_bytes_copied,
-            static_cast<std::uint64_t>(4 * (kN - 1)));
-}
-
-/// One scripted traffic pattern, delivered under omission faults, recorded
-/// as (dst, tick, bytes) — the sequence both payload modes must reproduce
-/// bit-for-bit (drop and latency draws are independent of the mode).
-struct Delivery {
-  ProcessId dst;
-  Tick at;
-  std::vector<std::uint8_t> bytes;
-  bool operator==(const Delivery&) const = default;
-};
-
-std::vector<Delivery> run_scripted_sim(bool per_copy) {
-  constexpr int kN = 6;
-  SimRig rig(kN, /*loss=*/0.3, per_copy);
-  std::vector<Delivery> deliveries;
-  for (ProcessId p = 0; p < kN; ++p) {
-    rig.network.attach(p, [&deliveries, &rig](const net::Packet& packet) {
-      deliveries.push_back({packet.dst, rig.sim.now(),
-                            {packet.payload.view().begin(),
-                             packet.payload.view().end()}});
-    });
-  }
-  rig.sim.on_round([&](RoundId round) {
-    if (round >= 20) return;
-    const auto sender = static_cast<ProcessId>(round % kN);
-    std::vector<std::uint8_t> payload(16 + round % 5);
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-      payload[i] = static_cast<std::uint8_t>(round + i);
-    }
-    rig.network.broadcast(sender, std::move(payload));
+  rig.sim.on_round([&rig](RoundId round) {
+    if (round >= kRounds) return;
+    rig.network.broadcast(static_cast<ProcessId>(round % kN),
+                          sim_round_payload(round));
   });
   rig.sim.run_until(400);
-  return deliveries;
+  ASSERT_FALSE(received.empty());
+  for (const net::Packet& packet : received) {
+    ASSERT_FALSE(packet.payload.empty());
+    const RoundId round = packet.payload.view()[0];
+    ASSERT_LT(round, kRounds);
+    EXPECT_EQ(packet.src, static_cast<ProcessId>(round % kN));
+    EXPECT_NE(packet.dst, packet.src);
+    EXPECT_EQ(packet.payload, sim_round_payload(round)) << "round " << round;
+  }
+  const net::NetStats stats = rig.network.stats();
+  EXPECT_EQ(stats.packets_delivered, received.size());
+  EXPECT_GT(stats.packets_dropped, 0u);
 }
 
-TEST(ZeroCopyFanOut, SharedAndPerCopyDeliverIdenticalBytesUnderOmission) {
-  const auto shared = run_scripted_sim(/*per_copy=*/false);
-  const auto cloned = run_scripted_sim(/*per_copy=*/true);
-  ASSERT_FALSE(shared.empty());
-  EXPECT_EQ(shared, cloned);
+std::vector<std::uint8_t> threads_round_payload(RoundId round) {
+  std::vector<std::uint8_t> payload(8);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(round * 17 + i);
+  }
+  return payload;
 }
 
-/// Threaded-backend counterpart: a single sender keeps the network's rng
-/// sequence deterministic (drop/latency draws happen at send time, on the
-/// sender's context), so both modes must deliver the same per-destination
-/// byte sequences even with real threads racing.
-std::vector<std::vector<std::uint8_t>> run_scripted_threads(bool per_copy) {
+TEST(ZeroCopyFanOut, DeliversScriptedBytesOnThreadedBackend) {
   constexpr int kN = 4;
+  constexpr RoundId kRounds = 15;
   rt::ThreadedConfig tc;
   tc.n = kN;
   tc.clock = rt::RoundClock(10);
@@ -216,42 +196,39 @@ std::vector<std::vector<std::uint8_t>> run_scripted_threads(bool per_copy) {
   fault::FaultPlan plan(kN);
   plan.packet_loss(0.3);
   fault::FaultInjector injector(std::move(plan), Rng(5).fork(1));
-  net::Network network(rt, injector,
-                       {.min_latency = 1,
-                        .max_latency = 4,
-                        .per_copy_payloads = per_copy},
+  net::Network network(rt, injector, {.min_latency = 1, .max_latency = 4},
                        Rng(5).fork(2));
   // logs[p] is only ever touched by p's own thread; the run_until barrier
   // publishes the final contents to this thread.
-  std::vector<std::vector<std::uint8_t>> logs(kN);
+  std::vector<std::vector<std::vector<std::uint8_t>>> logs(kN);
   for (ProcessId p = 0; p < kN; ++p) {
     network.attach(p, [&logs, p](const net::Packet& packet) {
-      logs[p].insert(logs[p].end(), packet.payload.view().begin(),
-                     packet.payload.view().end());
+      logs[p].emplace_back(packet.payload.view().begin(),
+                           packet.payload.view().end());
     });
   }
   rt.on_round(0, [&network](RoundId round) {
-    if (round >= 15) return;
-    std::vector<std::uint8_t> payload(8);
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-      payload[i] = static_cast<std::uint8_t>(round * 17 + i);
-    }
-    network.broadcast(0, std::move(payload));
+    if (round >= kRounds) return;
+    network.broadcast(0, threads_round_payload(round));
   });
   rt.run_until(300);
-  return logs;
-}
-
-TEST(ZeroCopyFanOut, SharedAndPerCopyAgreeOnThreadedBackend) {
-  const auto shared = run_scripted_threads(/*per_copy=*/false);
-  const auto cloned = run_scripted_threads(/*per_copy=*/true);
-  ASSERT_EQ(shared.size(), cloned.size());
-  bool anything_delivered = false;
-  for (std::size_t p = 0; p < shared.size(); ++p) {
-    EXPECT_EQ(shared[p], cloned[p]) << "destination " << p;
-    anything_delivered |= !shared[p].empty();
+  std::size_t delivered = 0;
+  for (ProcessId p = 0; p < kN; ++p) {
+    for (const auto& bytes : logs[p]) {
+      ASSERT_FALSE(bytes.empty());
+      ASSERT_EQ(bytes[0] % 17, 0) << "destination " << p;
+      const RoundId round = bytes[0] / 17;
+      ASSERT_LT(round, kRounds);
+      EXPECT_EQ(bytes, threads_round_payload(round))
+          << "destination " << p << ", round " << round;
+      ++delivered;
+    }
   }
-  EXPECT_TRUE(anything_delivered);
+  EXPECT_TRUE(logs[0].empty()) << "the sender delivers its own copy locally";
+  const net::NetStats stats = network.stats();
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(stats.packets_delivered, delivered);
+  EXPECT_GT(stats.packets_dropped, 0u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 Dispatches on the document's "bench" field: BENCH_throughput.json
 (bench_throughput), BENCH_recovery.json (bench_recovery) and
 BENCH_scale.json (bench_scale) are all supported. Stdlib-only, used by
-the CI bench-smoke and scale-smoke jobs and by hand after regenerating a
+the CI build-test job and by hand after regenerating a
 baseline (see PERFORMANCE.md for the field-by-field schemas). Exits 0 on
 success, 1 with a list of violations otherwise.
 
@@ -102,8 +102,8 @@ SCALE_RUN_FIELDS = {
 
 PROTOCOLS = {"urcgc", "cbcast", "psync"}
 BACKENDS = {"sim", "threads", "socket"}
-PAYLOAD_MODES = {"shared", "per_copy"}
-MAILBOXES = {"spsc", "mutex", "none"}
+PAYLOAD_MODES = {"shared"}
+MAILBOXES = {"spsc", "none"}
 ENCODINGS = {"full", "delta"}
 
 # bench_scale's acceptance gate: from this group size up, the delta

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a urcgc-check --report document against the documented schema.
 
-Stdlib-only, used by the CI check-smoke job and by hand after an explorer
+Stdlib-only, used by the CI build-test job and by hand after an explorer
 sweep (see DESIGN.md "Checking & exploration" for the field-by-field
 schema). Exits 0 on success, 1 with a list of violations otherwise.
 

@@ -49,8 +49,6 @@ struct Options {
   std::size_t threshold = 0;
   std::string causality = "intermediate";
   bool use_transport = false;
-  bool per_copy = false;
-  bool mutex_mailboxes = false;  // threads: legacy mutex mailbox path
   bool csv = false;
   bool verbose = false;
   std::string trace_path;
@@ -101,12 +99,6 @@ struct Options {
       "  --threshold=H                   history flow-control threshold\n"
       "  --causality=general|intermediate|temporal\n"
       "  --transport                     mount on h-reply transport\n"
-      "  --per-copy                      legacy clone-per-destination\n"
-      "                                  payload cost model (A/B against\n"
-      "                                  the zero-copy fan-out)\n"
-      "  --mutex-mailboxes               threads: legacy mutex-guarded\n"
-      "                                  mailboxes (A/B against the\n"
-      "                                  lock-free SPSC rings)\n"
       "  --trace=FILE                    write a JSONL protocol trace\n"
       "  --metrics-out=FILE              write obs registry as JSONL\n"
       "  --metrics-csv=FILE              write obs registry as CSV\n"
@@ -188,10 +180,6 @@ Options parse(int argc, char** argv) {
       opt.causality = value;
     } else if (consume(arg, "--transport", value)) {
       opt.use_transport = true;
-    } else if (consume(arg, "--per-copy", value)) {
-      opt.per_copy = true;
-    } else if (consume(arg, "--mutex-mailboxes", value)) {
-      opt.mutex_mailboxes = true;
     } else if (consume(arg, "--seed", value)) {
       opt.seed = std::strtoull(value.data(), nullptr, 10);
     } else if (consume(arg, "--limit-rtd", value)) {
@@ -288,7 +276,6 @@ int run_urcgc(const Options& opt) {
   config.faults.coordinator_crashes = opt.coordinator_crashes;
   config.join_rtds = opt.joins;
   config.use_transport = opt.use_transport;
-  config.net.per_copy_payloads = opt.per_copy;
   config.transport.h_all_on_broadcast = true;
   config.seed = opt.seed;
   config.limit_rtd = opt.limit_rtd;
@@ -300,7 +287,6 @@ int run_urcgc(const Options& opt) {
     config.backend = opt.backend == "socket" ? harness::Backend::kSocket
                                              : harness::Backend::kThreads;
     config.thread_tick_ns = opt.tick_ns;
-    config.lockfree_mailboxes = !opt.mutex_mailboxes;
   } else if (opt.backend != "sim") {
     std::fprintf(stderr, "unknown backend: %s\n", opt.backend.c_str());
     return 2;
@@ -384,12 +370,11 @@ int run_urcgc(const Options& opt) {
     std::printf("  discarded (orphans)  : %llu\n",
                 static_cast<unsigned long long>(report.discarded));
     std::printf("  wire buffers         : %llu allocs, %llu B allocated, "
-                "%llu B copied%s\n",
+                "%llu B copied\n",
                 static_cast<unsigned long long>(report.buffers.allocations),
                 static_cast<unsigned long long>(
                     report.buffers.bytes_allocated),
-                static_cast<unsigned long long>(report.buffers.bytes_copied),
-                opt.per_copy ? " (per-copy mode)" : "");
+                static_cast<unsigned long long>(report.buffers.bytes_copied));
     for (const auto& join : report.joins) {
       std::printf("  join: p%d admitted at tick %lld (baseline %zu seqs)\n",
                   join.p, static_cast<long long>(join.at),
@@ -426,7 +411,6 @@ int run_baseline(const Options& opt) {
   config.faults.crashes = opt.crashes;
   config.faults.packet_loss = opt.packet_loss;
   config.faults.flush_coordinator_crashes = opt.storm;
-  config.per_copy_payloads = opt.per_copy;
   if (opt.backend == "threads" || opt.backend == "socket") {
     if (opt.tick_ns < 0) {
       std::fprintf(stderr, "--tick-ns must be >= 0 (0 = free-running)\n");
@@ -464,11 +448,10 @@ int run_baseline(const Options& opt) {
     std::printf("  view change         : %.1f rtd\n", report.view_change_rtd);
   }
   std::printf("  wire buffers        : %llu allocs, %llu B allocated, "
-              "%llu B copied%s\n",
+              "%llu B copied\n",
               static_cast<unsigned long long>(report.buffers.allocations),
               static_cast<unsigned long long>(report.buffers.bytes_allocated),
-              static_cast<unsigned long long>(report.buffers.bytes_copied),
-              opt.per_copy ? " (per-copy mode)" : "");
+              static_cast<unsigned long long>(report.buffers.bytes_copied));
   std::printf("  causal order        : %s\n",
               report.causal_order_ok ? "OK" : "VIOLATED");
   return report.causal_order_ok ? 0 : 1;
