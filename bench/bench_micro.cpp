@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the urcgc
-// implementation: wire codecs, history operations, in-order processing,
+// implementation: wire codecs, the delta control plane's digest, anchor
+// cache and delta decode, history operations, in-order processing,
 // waiting-list release, vector clocks, decision computation, and raw
 // simulator throughput.
 
@@ -10,6 +11,7 @@
 #include "causal/vector_clock.hpp"
 #include "causal/waiting_list.hpp"
 #include "core/coordinator.hpp"
+#include "core/delta.hpp"
 #include "core/history.hpp"
 #include "core/mt_entity.hpp"
 #include "core/pdu.hpp"
@@ -38,6 +40,88 @@ void BM_DecodeDecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecodeDecision)->Arg(10)->Arg(40)->Arg(100);
+
+// A decision with every per-member vector populated, as the control plane
+// carries it at steady state.
+core::Decision populated_decision(int n, SubrunId decided_at) {
+  core::Decision d = core::Decision::initial(n);
+  d.decided_at = decided_at;
+  d.coordinator = static_cast<ProcessId>(decided_at % n);
+  for (int j = 0; j < n; ++j) {
+    d.clean_upto[j] = 100 + j;
+    d.stable_acc[j] = 101 + j;
+    d.heard[j] = (j % 3) != 0;
+    d.max_processed[j] = 110 + j;
+    d.most_updated[j] = (j + 1) % n;
+    d.min_waiting[j] = (j % 7 == 0) ? 112 + j : kNoSeq;
+  }
+  return d;
+}
+
+void BM_DecisionDigest(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  const core::Decision d = populated_decision(n, 17);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::decision_digest(d));
+  }
+}
+BENCHMARK(BM_DecisionDigest)->Arg(10)->Arg(100)->Arg(1000);
+
+// Arg 1 = 1: re-inserting a cached decision (every member inserts each
+// decision it decodes and applies). Arg 1 = 0: every insert is a new
+// decision that evicts the oldest of a full window.
+void BM_DecisionCacheInsert(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  const bool hit = state.range(1) != 0;
+  constexpr std::size_t kWindow = 8;
+  std::vector<core::Decision> pool;
+  for (std::size_t i = 0; i <= kWindow; ++i) {
+    pool.push_back(populated_decision(n, 20 + static_cast<SubrunId>(i)));
+  }
+  core::DecisionCache cache(kWindow);
+  for (const core::Decision& d : pool) cache.insert(d);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const core::Decision& d = hit ? pool.back() : pool[next];
+    next = (next + 1) % pool.size();
+    cache.insert(d);
+    benchmark::DoNotOptimize(cache.size());
+  }
+  state.SetLabel(hit ? "hit" : "miss");
+}
+BENCHMARK(BM_DecisionCacheInsert)
+    ->Args({10, 1})
+    ->Args({100, 1})
+    ->Args({1000, 1})
+    ->Args({10, 0})
+    ->Args({100, 0})
+    ->Args({1000, 0});
+
+// One received DECISION_DELTA: anchor lookup, reconstruction, and the
+// insert that makes the result the next anchor.
+void BM_DecodeDecisionDelta(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  const core::Decision anchor = populated_decision(n, 17);
+  core::Decision d = anchor;
+  d.decided_at = 18;
+  d.coordinator = 18 % n;
+  d.max_processed[0] += 3;
+  d.stable_acc[n / 2] += 1;
+  d.attempts[n - 1] = 1;
+  core::Config config;
+  config.n = n;
+  config.control_encoding = core::ControlEncoding::kDelta;
+  const auto frame = core::encode_decision_pdu(d, anchor, config);
+  core::DecisionCache cache(8);
+  cache.insert(anchor);
+  for (auto _ : state) {
+    core::DecodeContext ctx;
+    ctx.cache = &cache;
+    benchmark::DoNotOptimize(core::decode_pdu(frame, &ctx));
+  }
+  state.SetLabel(std::to_string(frame.size()) + " bytes");
+}
+BENCHMARK(BM_DecodeDecisionDelta)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_EncodeAppMessage(benchmark::State& state) {
   core::AppMessage msg;

@@ -8,25 +8,20 @@
 
 namespace urcgc::core {
 
-std::uint64_t decision_digest(const Decision& d) {
-  wire::Writer w(128);
-  encode_decision_body(w, d);
-  std::uint64_t h = 14695981039346656037ULL;  // FNV-1a 64-bit offset basis
-  for (std::uint8_t byte : w.view()) {
-    h ^= byte;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 void DecisionCache::insert(const Decision& d) {
   if (capacity_ == 0 || d.decided_at < 0) return;
+  if (find_equal(d) != nullptr) return;
   const std::uint64_t digest = decision_digest(d);
-  for (const Entry& e : entries_) {
-    if (e.decision.decided_at == d.decided_at && e.digest == digest) return;
+  if (entries_.size() < capacity_) {
+    // Sized on first use: a process under full encoding never inserts.
+    if (entries_.empty()) entries_.reserve(capacity_);
+    entries_.push_back(Entry{digest, d});
+    return;
   }
-  entries_.push_back(Entry{digest, d});
-  while (entries_.size() > capacity_) entries_.pop_front();
+  Entry& slot = entries_[oldest_];
+  slot.digest = digest;
+  slot.decision = d;
+  oldest_ = (oldest_ + 1) % capacity_;
 }
 
 const Decision* DecisionCache::find(SubrunId decided_at,
@@ -35,6 +30,19 @@ const Decision* DecisionCache::find(SubrunId decided_at,
     if (e.decision.decided_at == decided_at && e.digest == digest) {
       return &e.decision;
     }
+  }
+  return nullptr;
+}
+
+std::uint64_t DecisionCache::digest_of(const Decision& d) const {
+  const Entry* e = find_equal(d);
+  return e != nullptr ? e->digest : decision_digest(d);
+}
+
+const DecisionCache::Entry* DecisionCache::find_equal(
+    const Decision& d) const {
+  for (const Entry& e : entries_) {
+    if (e.decision == d) return &e;  // decided_at compares first
   }
   return nullptr;
 }
@@ -103,10 +111,11 @@ bool decision_delta_eligible(const Decision& d, const Decision& anchor,
 }
 
 void encode_decision_delta_body(wire::Writer& w, const Decision& d,
-                                const Decision& anchor) {
+                                const Decision& anchor,
+                                std::uint64_t anchor_digest) {
   URCGC_ASSERT(d.n() == anchor.n());
   w.i64(anchor.decided_at);
-  w.u64(decision_digest(anchor));
+  w.u64(anchor_digest);
   w.i64(d.decided_at);
   w.u16(d.coordinator == kNoProcess
             ? kNoProcessWire
@@ -134,8 +143,9 @@ void encode_decision_delta_body(wire::Writer& w, const Decision& d,
   }
 }
 
-Result<Decision, wire::DecodeError> decode_decision_delta_body(
-    wire::Reader& r, DecodeContext& ctx) {
+Status<wire::DecodeError> decode_decision_delta_body(wire::Reader& r,
+                                                     DecodeContext& ctx,
+                                                     Decision& out) {
   auto anchor_subrun = r.i64();
   if (!anchor_subrun) return Unexpected(anchor_subrun.error());
   auto anchor_digest = r.u64();
@@ -151,82 +161,69 @@ Result<Decision, wire::DecodeError> decode_decision_delta_body(
     ctx.anchor_missed = true;
     return Unexpected(wire::DecodeError::kBadValue);
   }
+  // From here on only `out` is read: the anchor pointer is not held past
+  // this copy.
+  out = *anchor;
 
-  Decision d = *anchor;
   auto decided_at = r.i64();
   if (!decided_at) return Unexpected(decided_at.error());
-  if (decided_at.value() <= anchor->decided_at) {
+  if (decided_at.value() <= out.decided_at) {
     return Unexpected(wire::DecodeError::kBadValue);
   }
-  d.decided_at = decided_at.value();
+  out.decided_at = decided_at.value();
   auto coordinator = r.u16();
   if (!coordinator) return Unexpected(coordinator.error());
-  d.coordinator = coordinator.value() == kNoProcessWire
-                      ? kNoProcess
-                      : static_cast<ProcessId>(coordinator.value());
+  out.coordinator = coordinator.value() == kNoProcessWire
+                        ? kNoProcess
+                        : static_cast<ProcessId>(coordinator.value());
   auto flags = r.u8();
   if (!flags) return Unexpected(flags.error());
   if ((flags.value() & ~kFlagFullGroup) != 0) {
     return Unexpected(wire::DecodeError::kBadValue);
   }
-  d.full_group = (flags.value() & kFlagFullGroup) != 0;
+  out.full_group = (flags.value() & kFlagFullGroup) != 0;
 
-  auto clean_upto = wire::get_sparse_seqs(r, anchor->clean_upto);
-  if (!clean_upto) return Unexpected(clean_upto.error());
-  d.clean_upto = std::move(clean_upto).value();
-  auto stable_acc = wire::get_sparse_seqs(r, anchor->stable_acc);
-  if (!stable_acc) return Unexpected(stable_acc.error());
-  d.stable_acc = std::move(stable_acc).value();
-  auto heard = wire::get_sparse_flips(r, anchor->heard);
-  if (!heard) return Unexpected(heard.error());
-  d.heard = std::move(heard).value();
-  auto max_processed = wire::get_sparse_seqs(r, anchor->max_processed);
-  if (!max_processed) return Unexpected(max_processed.error());
-  d.max_processed = std::move(max_processed).value();
-  auto most_updated = wire::get_sparse_pids(r, anchor->most_updated);
-  if (!most_updated) return Unexpected(most_updated.error());
-  d.most_updated = std::move(most_updated).value();
-  auto min_waiting = wire::get_sparse_seqs(r, anchor->min_waiting);
-  if (!min_waiting) return Unexpected(min_waiting.error());
-  d.min_waiting = std::move(min_waiting).value();
-  auto attempts = wire::get_sparse_u8s(r, anchor->attempts);
-  if (!attempts) return Unexpected(attempts.error());
-  d.attempts = std::move(attempts).value();
-  auto alive = wire::get_sparse_flips(r, anchor->alive);
-  if (!alive) return Unexpected(alive.error());
-  d.alive = std::move(alive).value();
+  if (auto st = wire::patch_sparse_seqs(r, out.clean_upto); !st) return st;
+  if (auto st = wire::patch_sparse_seqs(r, out.stable_acc); !st) return st;
+  if (auto st = wire::patch_sparse_flips(r, out.heard); !st) return st;
+  if (auto st = wire::patch_sparse_seqs(r, out.max_processed); !st) return st;
+  if (auto st = wire::patch_sparse_pids(r, out.most_updated); !st) return st;
+  if (auto st = wire::patch_sparse_seqs(r, out.min_waiting); !st) return st;
+  if (auto st = wire::patch_sparse_u8s(r, out.attempts); !st) return st;
+  if (auto st = wire::patch_sparse_flips(r, out.alive); !st) return st;
   auto epoch = r.i64();
   if (!epoch) return Unexpected(epoch.error());
-  d.stability_epoch = epoch.value();
+  out.stability_epoch = epoch.value();
 
   auto drop = r.u8();
   if (!drop) return Unexpected(drop.error());
   auto append = r.u8();
   if (!append) return Unexpected(append.error());
-  if (drop.value() > anchor->boundaries.size()) {
+  if (drop.value() > out.boundaries.size()) {
     return Unexpected(wire::DecodeError::kBadValue);
   }
-  const std::size_t kept = anchor->boundaries.size() - drop.value();
+  const std::size_t kept = out.boundaries.size() - drop.value();
   if (kept + append.value() > Decision::kBoundaryWindow) {
     return Unexpected(wire::DecodeError::kBadValue);
   }
-  d.boundaries.assign(
-      anchor->boundaries.begin() + static_cast<std::ptrdiff_t>(drop.value()),
-      anchor->boundaries.end());
-  for (std::uint8_t i = 0; i < append.value(); ++i) {
-    StabilityBoundary boundary;
+  // Rotate the dropped boundaries to the back, where the appended ones
+  // are read into them and reuse their buffers.
+  std::rotate(
+      out.boundaries.begin(),
+      out.boundaries.begin() + static_cast<std::ptrdiff_t>(drop.value()),
+      out.boundaries.end());
+  out.boundaries.resize(kept + append.value());
+  for (std::size_t i = kept; i < out.boundaries.size(); ++i) {
+    StabilityBoundary& boundary = out.boundaries[i];
     auto subrun = r.i64();
     if (!subrun) return Unexpected(subrun.error());
     boundary.subrun = subrun.value();
-    auto clean = wire::get_seqs32(r);
-    if (!clean) return Unexpected(clean.error());
-    boundary.clean_upto = std::move(clean).value();
-    if (boundary.clean_upto.size() != d.alive.size()) {
+    if (auto st = wire::read_seqs32(r, boundary.clean_upto); !st) return st;
+    if (boundary.clean_upto.size() != out.alive.size()) {
       return Unexpected(wire::DecodeError::kBadValue);
     }
-    d.boundaries.push_back(std::move(boundary));
   }
-  return d;
+  return {};
 }
 
 bool request_delta_eligible(const Request& rq, const Config& config) {
@@ -249,19 +246,19 @@ bool request_delta_eligible(const Request& rq, const Config& config) {
   return true;
 }
 
-void encode_request_delta_body(wire::Writer& w, const Request& rq) {
+void encode_request_delta_body(wire::Writer& w, const Request& rq,
+                               std::uint64_t anchor_digest) {
   const Decision& anchor = rq.prev_decision;
   w.i64(rq.subrun);
   w.u16(rq.from == kNoProcess ? kNoProcessWire
                               : static_cast<std::uint16_t>(rq.from));
   w.i64(anchor.decided_at);
-  w.u64(decision_digest(anchor));
+  w.u64(anchor_digest);
   // The sender's processed prefixes track the group maximum the anchor
   // advertises except where traffic moved since — overrides stay O(active
   // senders), not O(n).
   wire::put_sparse_seqs(w, rq.last_processed, anchor.max_processed);
-  const std::vector<Seq> none(rq.oldest_waiting.size(), kNoSeq);
-  wire::put_sparse_seqs(w, rq.oldest_waiting, none);
+  wire::put_sparse_seqs(w, rq.oldest_waiting, kNoSeq);
 }
 
 Result<Request, wire::DecodeError> decode_request_delta_body(
@@ -292,13 +289,14 @@ Result<Request, wire::DecodeError> decode_request_delta_body(
     return Unexpected(wire::DecodeError::kBadValue);
   }
   rq.prev_decision = *anchor;
-  auto last_processed = wire::get_sparse_seqs(r, anchor->max_processed);
-  if (!last_processed) return Unexpected(last_processed.error());
-  rq.last_processed = std::move(last_processed).value();
-  const std::vector<Seq> none(rq.last_processed.size(), kNoSeq);
-  auto oldest_waiting = wire::get_sparse_seqs(r, none);
-  if (!oldest_waiting) return Unexpected(oldest_waiting.error());
-  rq.oldest_waiting = std::move(oldest_waiting).value();
+  rq.last_processed = anchor->max_processed;
+  if (auto st = wire::patch_sparse_seqs(r, rq.last_processed); !st) {
+    return Unexpected(st.error());
+  }
+  rq.oldest_waiting.assign(rq.last_processed.size(), kNoSeq);
+  if (auto st = wire::patch_sparse_seqs(r, rq.oldest_waiting); !st) {
+    return Unexpected(st.error());
+  }
   return rq;
 }
 

@@ -23,7 +23,6 @@
 // protocol already tolerates.
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -37,12 +36,20 @@ namespace urcgc::core {
 /// identity that, together with decided_at, names an anchor on the wire.
 /// Two decisions decided at the same subrun by partitioned coordinators
 /// hash apart, so a receiver can never reconstruct against the wrong
-/// same-subrun twin.
+/// same-subrun twin. Streams the bytes encode_decision_body would write
+/// into the hash without building them (defined beside it in pdu.cpp).
+/// O(n): callers that hold a DecisionCache take the stored digest instead.
 [[nodiscard]] std::uint64_t decision_digest(const Decision& d);
 
-/// Bounded FIFO of recent decisions, keyed by (decided_at, digest):
-/// everything a process has applied, computed or decoded lately, usable
-/// as a delta anchor in either direction. Duplicate inserts are merged.
+/// Fixed ring of the `capacity` most recent distinct decisions, each
+/// stored with its digest: everything a process has applied, computed or
+/// decoded lately, usable as a delta anchor in either direction. The
+/// digest is computed once per distinct decision, at insert; an equal
+/// decision inserted again is found by comparison and costs no hash and
+/// no copy. Once full, the oldest slot is overwritten by copy-assignment,
+/// so its vectors keep their capacity and the ring stops allocating after
+/// warm-up. A pointer from find() is valid only until the next insert —
+/// never hold one across it.
 class DecisionCache {
  public:
   explicit DecisionCache(std::size_t capacity) : capacity_(capacity) {}
@@ -55,23 +62,37 @@ class DecisionCache {
     return std::max<std::size_t>(8, 2 * k + 1);
   }
 
-  /// Inserts a copy of `d` (no-op for the initial decision and for
-  /// already-cached keys), evicting the oldest entry past capacity.
+  /// Stores a copy of `d` (no-op for the initial decision and for a
+  /// decision already cached), overwriting the oldest entry when full.
   void insert(const Decision& d);
 
   [[nodiscard]] const Decision* find(SubrunId decided_at,
                                      std::uint64_t digest) const;
 
+  /// The digest of `d`: the stored one when `d` is cached, computed
+  /// otherwise.
+  [[nodiscard]] std::uint64_t digest_of(const Decision& d) const;
+
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
+
+  friend bool operator==(const DecisionCache&,
+                         const DecisionCache&) = default;
 
  private:
   struct Entry {
     std::uint64_t digest = 0;
     Decision decision;
+
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
-  std::deque<Entry> entries_;
+  /// The entry equal to `d` (same decided_at, then the whole body:
+  /// partition twins share decided_at), or nullptr.
+  [[nodiscard]] const Entry* find_equal(const Decision& d) const;
+
+  std::vector<Entry> entries_;
   std::size_t capacity_;
+  std::size_t oldest_ = 0;  ///< next slot to overwrite once full
 };
 
 /// Decode-side context: the receiver's anchor cache plus the out-of-band
@@ -92,17 +113,19 @@ struct DecodeContext {
                                            const Decision& anchor,
                                            const Config& config);
 
-/// Appends the delta body of `d` against `anchor` (anchor reference
-/// included; PDU type byte excluded). Precondition:
-/// decision_delta_eligible(d, anchor, config).
+/// Appends the delta body of `d` against `anchor`, whose digest is
+/// `anchor_digest` (anchor reference included; PDU type byte excluded).
+/// Precondition: decision_delta_eligible(d, anchor, config).
 void encode_decision_delta_body(wire::Writer& w, const Decision& d,
-                                const Decision& anchor);
+                                const Decision& anchor,
+                                std::uint64_t anchor_digest);
 
-/// Reads a delta decision body and reconstructs the full decision from
-/// the cached anchor. A wire-valid frame whose anchor is absent from
-/// `ctx.cache` fails with kBadValue and ctx.anchor_missed = true.
-[[nodiscard]] Result<Decision, wire::DecodeError> decode_decision_delta_body(
-    wire::Reader& r, DecodeContext& ctx);
+/// Reads a delta decision body into `out`: the cached anchor is assigned
+/// into it and the changed entries are patched in place. A wire-valid
+/// frame whose anchor is absent from `ctx.cache` fails with kBadValue and
+/// ctx.anchor_missed = true. On error `out` holds a partial decode.
+[[nodiscard]] Status<wire::DecodeError> decode_decision_delta_body(
+    wire::Reader& r, DecodeContext& ctx, Decision& out);
 
 /// REQUEST delta eligibility: the embedded prev_decision must be a usable
 /// anchor (same triggers as above minus the membership check — a REQUEST
@@ -112,9 +135,11 @@ void encode_decision_delta_body(wire::Writer& w, const Decision& d,
 
 /// Appends the delta body of `rq` (fields after the PDU type byte):
 /// subrun, sender, anchor reference standing in for the embedded
-/// prev_decision, last_processed as overrides against the anchor's
-/// max_processed, and oldest_waiting as overrides against all-kNoSeq.
-void encode_request_delta_body(wire::Writer& w, const Request& rq);
+/// prev_decision (whose digest is `anchor_digest`), last_processed as
+/// overrides against the anchor's max_processed, and oldest_waiting as
+/// overrides against all-kNoSeq.
+void encode_request_delta_body(wire::Writer& w, const Request& rq,
+                               std::uint64_t anchor_digest);
 
 [[nodiscard]] Result<Request, wire::DecodeError> decode_request_delta_body(
     wire::Reader& r, DecodeContext& ctx);

@@ -13,7 +13,8 @@ MtEntity::MtEntity(const Config& config, ProcessId self, Observer* observer)
       observer_(observer),
       history_(config.n),
       processed_(config.n),
-      clean_floor_(config.n, kNoSeq) {}
+      clean_floor_(config.n, kNoSeq),
+      purged_upto_(config.n, kNoSeq) {}
 
 bool MtEntity::processed(const Mid& mid) const {
   if (!mid.valid()) return true;  // "no message" is trivially processed
@@ -91,20 +92,18 @@ void MtEntity::process_now(AppMessage msg, Tick now) {
   queue_.resize(base);
 }
 
-std::vector<Seq> MtEntity::last_processed_vec() const {
-  std::vector<Seq> result(config_.n);
-  for (ProcessId j = 0; j < config_.n; ++j) {
-    result[j] = processed_[j].prefix();
-  }
-  return result;
+void MtEntity::last_processed_into(std::vector<Seq>& out, int width) const {
+  URCGC_ASSERT(width <= config_.n);
+  out.resize(static_cast<std::size_t>(width));
+  for (ProcessId j = 0; j < width; ++j) out[j] = processed_[j].prefix();
 }
 
-std::vector<Seq> MtEntity::oldest_waiting_vec() const {
-  std::vector<Seq> result(config_.n, kNoSeq);
-  for (ProcessId j = 0; j < config_.n; ++j) {
-    if (auto oldest = waiting_.oldest_waiting(j)) result[j] = *oldest;
+void MtEntity::oldest_waiting_into(std::vector<Seq>& out, int width) const {
+  URCGC_ASSERT(width <= config_.n);
+  out.assign(static_cast<std::size_t>(width), kNoSeq);
+  for (ProcessId j = 0; j < width; ++j) {
+    if (auto oldest = waiting_.oldest_waiting(j)) out[j] = *oldest;
   }
-  return result;
 }
 
 RecoverRsp MtEntity::serve_recovery(const RecoverRq& rq) const {
@@ -130,20 +129,21 @@ std::size_t MtEntity::clean(const std::vector<Seq>& clean_upto) {
   const int width = static_cast<int>(clean_upto.size());
   for (ProcessId j = 0; j < width; ++j) {
     if (clean_upto[j] == kNoSeq) continue;
+    Seq upto = clean_upto[j];
     // Cleaning a message we have not processed would violate the stability
     // invariant (our own report bounds the group minimum). When a deliberate
     // protocol mutation is active the faulty decision must survive as an
     // observable trace violation for the checker, so clamp instead of abort.
     if (config_.mutation != ProtocolMutation::kNone) {
-      const Seq upto = std::min(clean_upto[j], processed_[j].prefix());
-      purged += history_.purge_upto(j, upto);
-      clean_floor_[j] = std::max(clean_floor_[j], upto);
-      continue;
+      upto = std::min(upto, processed_[j].prefix());
+    } else {
+      URCGC_ASSERT_MSG(upto <= processed_[j].prefix(),
+                       "cleaning point beyond local processed prefix");
     }
-    URCGC_ASSERT_MSG(clean_upto[j] <= processed_[j].prefix(),
-                     "cleaning point beyond local processed prefix");
-    purged += history_.purge_upto(j, clean_upto[j]);
-    clean_floor_[j] = std::max(clean_floor_[j], clean_upto[j]);
+    if (upto <= purged_upto_[j]) continue;  // nothing moved since last time
+    purged += history_.purge_upto(j, upto);
+    purged_upto_[j] = upto;
+    clean_floor_[j] = std::max(clean_floor_[j], upto);
   }
   return purged;
 }

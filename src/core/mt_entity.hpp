@@ -63,9 +63,12 @@ class MtEntity {
   [[nodiscard]] Seq prefix(ProcessId origin) const {
     return processed_.at(origin).prefix();
   }
-  [[nodiscard]] std::vector<Seq> last_processed_vec() const;
-  /// Oldest waiting seq per origin; kNoSeq where nothing waits.
-  [[nodiscard]] std::vector<Seq> oldest_waiting_vec() const;
+  /// Writes prefix(j) for the first `width` origins into `out` (resized to
+  /// `width`, reusing its capacity).
+  void last_processed_into(std::vector<Seq>& out, int width) const;
+  /// Oldest waiting seq of the first `width` origins into `out`; kNoSeq
+  /// where nothing waits.
+  void oldest_waiting_into(std::vector<Seq>& out, int width) const;
 
   /// Serves a peer's recovery request from the local history.
   [[nodiscard]] RecoverRsp serve_recovery(const RecoverRq& rq) const;
@@ -152,6 +155,11 @@ class MtEntity {
   std::vector<Mid> missing_;
   std::vector<causal::PrefixSet> processed_;
   std::vector<Seq> clean_floor_;
+  /// Per origin, the highest point clean() has purged the history to.
+  /// Every message stored later lies above the processed prefix that
+  /// bounded that purge, so a cleaning point at or below it has nothing
+  /// left to purge and clean() skips the origin.
+  std::vector<Seq> purged_upto_;
   std::vector<Mid> log_;  // local processing order, for validation
   std::uint64_t duplicates_ = 0;
   std::uint64_t waiting_rejected_ = 0;

@@ -34,34 +34,33 @@ namespace {
 // than 65535 and the decision carries one id per member.
 constexpr std::uint16_t kNoProcessWire = 0xFFFF;
 
-void put_pids(wire::Writer& w, const std::vector<ProcessId>& pids) {
+template <typename Sink>
+void put_pids(Sink& w, const std::vector<ProcessId>& pids) {
   w.u32(static_cast<std::uint32_t>(pids.size()));
   for (ProcessId p : pids) {
     w.u16(p == kNoProcess ? kNoProcessWire : static_cast<std::uint16_t>(p));
   }
 }
 
-Result<std::vector<ProcessId>, wire::DecodeError> get_pids(wire::Reader& r) {
+Status<wire::DecodeError> read_pids(wire::Reader& r,
+                                    std::vector<ProcessId>& out) {
   auto count = r.u32();
   if (!count) return Unexpected(count.error());
   if (count.value() * 2ULL > r.remaining()) {
     return Unexpected(wire::DecodeError::kTruncated);
   }
-  std::vector<ProcessId> pids;
-  pids.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto p = r.u16();
-    if (!p) return Unexpected(p.error());
-    pids.push_back(p.value() == kNoProcessWire
-                       ? kNoProcess
-                       : static_cast<ProcessId>(p.value()));
+  out.resize(count.value());
+  for (ProcessId& p : out) {
+    const std::uint16_t v = r.u16().value();
+    p = v == kNoProcessWire ? kNoProcess : static_cast<ProcessId>(v);
   }
-  return pids;
+  return {};
 }
 
-}  // namespace
-
-void encode_decision_body(wire::Writer& w, const Decision& d) {
+/// The canonical decision body, written to a Writer (the wire) or to an
+/// Fnv1aSink (the anchor digest) — one layout for both.
+template <typename Sink>
+void put_decision_body(Sink& w, const Decision& d) {
   w.i64(d.decided_at);
   w.i32(d.coordinator);
   w.boolean(d.full_group);
@@ -81,73 +80,99 @@ void encode_decision_body(wire::Writer& w, const Decision& d) {
   }
 }
 
-Result<Decision, wire::DecodeError> decode_decision_body(wire::Reader& r) {
-  Decision d;
+std::size_t seqs32_size(const std::vector<Seq>& v) { return 4 + 4 * v.size(); }
+std::size_t bools_size(const std::vector<bool>& v) {
+  return 4 + (v.size() + 7) / 8;
+}
+
+std::size_t decision_body_size(const Decision& d) {
+  std::size_t size = 8 + 4 + 1;  // decided_at, coordinator, full_group
+  size += seqs32_size(d.clean_upto) + seqs32_size(d.stable_acc) +
+          bools_size(d.heard) + seqs32_size(d.max_processed) +
+          (4 + 2 * d.most_updated.size()) + seqs32_size(d.min_waiting) +
+          (4 + d.attempts.size()) + bools_size(d.alive);
+  size += 8 + 4;  // stability_epoch, boundary count
+  for (const StabilityBoundary& boundary : d.boundaries) {
+    size += 8 + seqs32_size(boundary.clean_upto);
+  }
+  return size;
+}
+
+std::uint64_t anchor_digest(const Decision& anchor,
+                            const DecisionCache* anchors) {
+  return anchors != nullptr ? anchors->digest_of(anchor)
+                            : decision_digest(anchor);
+}
+
+}  // namespace
+
+void encode_decision_body(wire::Writer& w, const Decision& d) {
+  put_decision_body(w, d);
+}
+
+std::uint64_t decision_digest(const Decision& d) {
+  wire::Fnv1aSink hash;
+  put_decision_body(hash, d);
+  return hash.value();
+}
+
+std::size_t full_frame_size(const Decision& d) {
+  return 1 + decision_body_size(d);
+}
+
+std::size_t full_frame_size(const Request& rq) {
+  return 1 + 8 + 4 + seqs32_size(rq.last_processed) +
+         seqs32_size(rq.oldest_waiting) + decision_body_size(rq.prev_decision);
+}
+
+Status<wire::DecodeError> decode_decision_body(wire::Reader& r,
+                                               Decision& out) {
   auto decided_at = r.i64();
   if (!decided_at) return Unexpected(decided_at.error());
-  d.decided_at = decided_at.value();
+  out.decided_at = decided_at.value();
   auto coordinator = r.i32();
   if (!coordinator) return Unexpected(coordinator.error());
-  d.coordinator = coordinator.value();
+  out.coordinator = coordinator.value();
   auto full_group = r.boolean();
   if (!full_group) return Unexpected(full_group.error());
-  d.full_group = full_group.value();
+  out.full_group = full_group.value();
 
-  auto clean_upto = wire::get_seqs32(r);
-  if (!clean_upto) return Unexpected(clean_upto.error());
-  d.clean_upto = std::move(clean_upto).value();
-  auto stable_acc = wire::get_seqs32(r);
-  if (!stable_acc) return Unexpected(stable_acc.error());
-  d.stable_acc = std::move(stable_acc).value();
-  auto heard = wire::get_bools(r);
-  if (!heard) return Unexpected(heard.error());
-  d.heard = std::move(heard).value();
-  auto max_processed = wire::get_seqs32(r);
-  if (!max_processed) return Unexpected(max_processed.error());
-  d.max_processed = std::move(max_processed).value();
-  auto most_updated = get_pids(r);
-  if (!most_updated) return Unexpected(most_updated.error());
-  d.most_updated = std::move(most_updated).value();
-  auto min_waiting = wire::get_seqs32(r);
-  if (!min_waiting) return Unexpected(min_waiting.error());
-  d.min_waiting = std::move(min_waiting).value();
-  auto attempts = wire::get_u8s(r);
-  if (!attempts) return Unexpected(attempts.error());
-  d.attempts = std::move(attempts).value();
-  auto alive = wire::get_bools(r);
-  if (!alive) return Unexpected(alive.error());
-  d.alive = std::move(alive).value();
+  if (auto st = wire::read_seqs32(r, out.clean_upto); !st) return st;
+  if (auto st = wire::read_seqs32(r, out.stable_acc); !st) return st;
+  if (auto st = wire::read_bools(r, out.heard); !st) return st;
+  if (auto st = wire::read_seqs32(r, out.max_processed); !st) return st;
+  if (auto st = read_pids(r, out.most_updated); !st) return st;
+  if (auto st = wire::read_seqs32(r, out.min_waiting); !st) return st;
+  if (auto st = wire::read_u8s(r, out.attempts); !st) return st;
+  if (auto st = wire::read_bools(r, out.alive); !st) return st;
   auto epoch = r.i64();
   if (!epoch) return Unexpected(epoch.error());
-  d.stability_epoch = epoch.value();
+  out.stability_epoch = epoch.value();
   auto boundary_count = r.u32();
   if (!boundary_count) return Unexpected(boundary_count.error());
   if (boundary_count.value() > Decision::kBoundaryWindow) {
     return Unexpected(wire::DecodeError::kBadValue);
   }
-  for (std::uint32_t i = 0; i < boundary_count.value(); ++i) {
-    StabilityBoundary boundary;
+  out.boundaries.resize(boundary_count.value());
+  for (StabilityBoundary& boundary : out.boundaries) {
     auto subrun = r.i64();
     if (!subrun) return Unexpected(subrun.error());
     boundary.subrun = subrun.value();
-    auto clean = wire::get_seqs32(r);
-    if (!clean) return Unexpected(clean.error());
-    boundary.clean_upto = std::move(clean).value();
-    if (boundary.clean_upto.size() != d.alive.size()) {
+    if (auto st = wire::read_seqs32(r, boundary.clean_upto); !st) return st;
+    if (boundary.clean_upto.size() != out.alive.size()) {
       return Unexpected(wire::DecodeError::kBadValue);
     }
-    d.boundaries.push_back(std::move(boundary));
   }
 
   // All per-group vectors must agree on n.
-  const std::size_t n = d.alive.size();
-  if (d.clean_upto.size() != n || d.stable_acc.size() != n ||
-      d.heard.size() != n || d.max_processed.size() != n ||
-      d.most_updated.size() != n || d.min_waiting.size() != n ||
-      d.attempts.size() != n) {
+  const std::size_t n = out.alive.size();
+  if (out.clean_upto.size() != n || out.stable_acc.size() != n ||
+      out.heard.size() != n || out.max_processed.size() != n ||
+      out.most_updated.size() != n || out.min_waiting.size() != n ||
+      out.attempts.size() != n) {
     return Unexpected(wire::DecodeError::kBadValue);
   }
-  return d;
+  return {};
 }
 
 std::vector<std::uint8_t> encode_pdu(const AppMessage& msg) {
@@ -158,7 +183,7 @@ std::vector<std::uint8_t> encode_pdu(const AppMessage& msg) {
 }
 
 std::vector<std::uint8_t> encode_pdu(const Request& rq) {
-  wire::Writer w(128);
+  wire::Writer w(full_frame_size(rq));
   w.u8(static_cast<std::uint8_t>(PduType::kRequest));
   w.i64(rq.subrun);
   w.i32(rq.from);
@@ -169,7 +194,7 @@ std::vector<std::uint8_t> encode_pdu(const Request& rq) {
 }
 
 std::vector<std::uint8_t> encode_pdu(const Decision& d) {
-  wire::Writer w(128);
+  wire::Writer w(full_frame_size(d));
   w.u8(static_cast<std::uint8_t>(PduType::kDecision));
   encode_decision_body(w, d);
   return std::move(w).take();
@@ -177,11 +202,12 @@ std::vector<std::uint8_t> encode_pdu(const Decision& d) {
 
 std::vector<std::uint8_t> encode_request_pdu(const Request& rq,
                                              const Config& config,
-                                             bool* was_delta) {
+                                             bool* was_delta,
+                                             const DecisionCache* anchors) {
   if (request_delta_eligible(rq, config)) {
     wire::Writer w(64);
     w.u8(static_cast<std::uint8_t>(PduType::kRequestDelta));
-    encode_request_delta_body(w, rq);
+    encode_request_delta_body(w, rq, anchor_digest(rq.prev_decision, anchors));
     if (was_delta != nullptr) *was_delta = true;
     return std::move(w).take();
   }
@@ -193,11 +219,12 @@ std::vector<std::uint8_t> encode_decision_pdu(const Decision& d,
                                               const Decision& anchor,
                                               const Config& config,
                                               bool receivers_hold_anchor,
-                                              bool* was_delta) {
+                                              bool* was_delta,
+                                              const DecisionCache* anchors) {
   if (receivers_hold_anchor && decision_delta_eligible(d, anchor, config)) {
     wire::Writer w(64);
     w.u8(static_cast<std::uint8_t>(PduType::kDecisionDelta));
-    encode_decision_delta_body(w, d, anchor);
+    encode_decision_delta_body(w, d, anchor, anchor_digest(anchor, anchors));
     if (was_delta != nullptr) *was_delta = true;
     return std::move(w).take();
   }
@@ -259,6 +286,28 @@ std::vector<std::uint8_t> encode_pdu(const RecoverRsp& rsp) {
   return std::move(w).take();
 }
 
+bool is_decision_frame(std::span<const std::uint8_t> bytes) {
+  return !bytes.empty() &&
+         (bytes[0] == static_cast<std::uint8_t>(PduType::kDecision) ||
+          bytes[0] == static_cast<std::uint8_t>(PduType::kDecisionDelta));
+}
+
+Status<wire::DecodeError> decode_decision_frame(
+    std::span<const std::uint8_t> bytes, DecodeContext* ctx, Decision& out) {
+  if (!is_decision_frame(bytes)) {
+    return Unexpected(wire::DecodeError::kBadValue);
+  }
+  wire::Reader r(bytes.subspan(1));
+  if (bytes[0] == static_cast<std::uint8_t>(PduType::kDecision)) {
+    if (auto st = decode_decision_body(r, out); !st) return st;
+  } else {
+    DecodeContext fallback;
+    DecodeContext& c = ctx != nullptr ? *ctx : fallback;
+    if (auto st = decode_decision_delta_body(r, c, out); !st) return st;
+  }
+  return r.finish();
+}
+
 Result<Pdu, wire::DecodeError> decode_pdu(
     std::span<const std::uint8_t> bytes, DecodeContext* ctx) {
   wire::Reader r(bytes);
@@ -293,19 +342,21 @@ Result<Pdu, wire::DecodeError> decode_pdu(
       auto oldest_waiting = wire::get_seqs32(r);
       if (!oldest_waiting) return Unexpected(oldest_waiting.error());
       rq.oldest_waiting = std::move(oldest_waiting).value();
-      auto prev = decode_decision_body(r);
-      if (!prev) return Unexpected(prev.error());
-      rq.prev_decision = std::move(prev).value();
+      if (auto st = decode_decision_body(r, rq.prev_decision); !st) {
+        return Unexpected(st.error());
+      }
       if (auto fin = r.finish(); !fin) return Unexpected(fin.error());
       remember(rq.prev_decision);
       return Pdu{std::move(rq)};
     }
-    case PduType::kDecision: {
-      auto d = decode_decision_body(r);
-      if (!d) return Unexpected(d.error());
-      if (auto fin = r.finish(); !fin) return Unexpected(fin.error());
-      remember(d.value());
-      return Pdu{std::move(d).value()};
+    case PduType::kDecision:
+    case PduType::kDecisionDelta: {
+      Decision d;
+      if (auto st = decode_decision_frame(bytes, ctx, d); !st) {
+        return Unexpected(st.error());
+      }
+      remember(d);
+      return Pdu{std::move(d)};
     }
     case PduType::kRequestDelta: {
       DecodeContext fallback;
@@ -314,15 +365,6 @@ Result<Pdu, wire::DecodeError> decode_pdu(
       if (!rq) return Unexpected(rq.error());
       if (auto fin = r.finish(); !fin) return Unexpected(fin.error());
       return Pdu{std::move(rq).value()};
-    }
-    case PduType::kDecisionDelta: {
-      DecodeContext fallback;
-      DecodeContext& c = ctx != nullptr ? *ctx : fallback;
-      auto d = decode_decision_delta_body(r, c);
-      if (!d) return Unexpected(d.error());
-      if (auto fin = r.finish(); !fin) return Unexpected(fin.error());
-      remember(d.value());
-      return Pdu{std::move(d).value()};
     }
     case PduType::kRecoverRq: {
       RecoverRq rq;

@@ -212,8 +212,17 @@ using Pdu = std::variant<AppMessage, Request, Decision, RecoverRq, RecoverRsp,
 /// DECISION frame, the tail of a full REQUEST, and the byte string
 /// delta.hpp's decision_digest() hashes to name anchors.
 void encode_decision_body(wire::Writer& w, const Decision& d);
-[[nodiscard]] Result<Decision, wire::DecodeError> decode_decision_body(
-    wire::Reader& r);
+/// Decodes a full decision body into `out`, overwriting every field and
+/// reusing its vectors' capacity. On error `out` is partially written.
+[[nodiscard]] Status<wire::DecodeError> decode_decision_body(wire::Reader& r,
+                                                             Decision& out);
+
+/// Exact byte sizes of encode_pdu(d) and encode_pdu(rq): full control
+/// frames reserve them up front instead of growing by doubling.
+[[nodiscard]] std::size_t full_frame_size(const Decision& d);
+[[nodiscard]] std::size_t full_frame_size(const Request& rq);
+
+class DecisionCache;  // delta.hpp: anchor window with stored digests
 
 /// Encoding-dispatching control-plane encoders: produce a delta frame
 /// when the config selects kDelta and no full-snapshot trigger fires
@@ -222,8 +231,11 @@ void encode_decision_body(wire::Writer& w, const Decision& d);
 /// from; a REQUEST against its own embedded prev_decision. `was_delta`,
 /// when non-null, reports which frame kind was produced (the
 /// core.delta_fallbacks / core.control_bytes_{full,delta} accounting).
+/// `anchors`, when non-null, supplies the anchor's digest if it is cached;
+/// otherwise the digest is computed.
 [[nodiscard]] std::vector<std::uint8_t> encode_request_pdu(
-    const Request& rq, const Config& config, bool* was_delta = nullptr);
+    const Request& rq, const Config& config, bool* was_delta = nullptr,
+    const DecisionCache* anchors = nullptr);
 /// `receivers_hold_anchor` is the coordinator's receiver-coverage proof:
 /// true only when every alive receiver demonstrated (via this subrun's
 /// request embeds) that it already caches `anchor`. Delta DECISIONs chain
@@ -234,7 +246,8 @@ void encode_decision_body(wire::Writer& w, const Decision& d);
 /// single receipt, exactly like the full encoding does.
 [[nodiscard]] std::vector<std::uint8_t> encode_decision_pdu(
     const Decision& d, const Decision& anchor, const Config& config,
-    bool receivers_hold_anchor = true, bool* was_delta = nullptr);
+    bool receivers_hold_anchor = true, bool* was_delta = nullptr,
+    const DecisionCache* anchors = nullptr);
 
 struct DecodeContext;  // delta.hpp: anchor cache + anchor-miss signal
 
@@ -244,5 +257,17 @@ struct DecodeContext;  // delta.hpp: anchor cache + anchor-miss signal
 /// miss. Full frames never need a context.
 [[nodiscard]] Result<Pdu, wire::DecodeError> decode_pdu(
     std::span<const std::uint8_t> bytes, DecodeContext* ctx = nullptr);
+
+/// True when `bytes` is a DECISION or DECISION_DELTA frame.
+[[nodiscard]] bool is_decision_frame(std::span<const std::uint8_t> bytes);
+
+/// Decodes a DECISION or DECISION_DELTA frame into `out`, a caller-owned
+/// scratch: a delta is the anchor assigned into `out` and patched in
+/// place, so a reused scratch keeps its vectors' capacity. Unlike
+/// decode_pdu it inserts nothing into ctx->cache — the caller commits
+/// `out` once this succeeds. On error `out` holds a partial decode and
+/// must not be used.
+[[nodiscard]] Status<wire::DecodeError> decode_decision_frame(
+    std::span<const std::uint8_t> bytes, DecodeContext* ctx, Decision& out);
 
 }  // namespace urcgc::core

@@ -340,27 +340,29 @@ std::vector<Mid> UrcgcProcess::build_deps(std::vector<Mid> user_deps,
 }
 
 void UrcgcProcess::send_request(SubrunId subrun) {
+  const ProcessId coordinator = coordinator_of(subrun);
+  if (coordinator == kNoProcess) return;
   Request rq;
   rq.subrun = subrun;
   rq.from = self_;
   // Report vectors travel at the live view's width (they widen with it):
   // origins past the view are unknown to the group's agreement and their
   // parked traffic resurfaces once a decision admits them.
-  rq.last_processed = mt_.last_processed_vec();
-  rq.last_processed.resize(static_cast<std::size_t>(latest_.n()));
-  rq.oldest_waiting = mt_.oldest_waiting_vec();
-  rq.oldest_waiting.resize(static_cast<std::size_t>(latest_.n()));
-  rq.prev_decision = latest_;
+  mt_.last_processed_into(rq.last_processed, latest_.n());
+  mt_.oldest_waiting_into(rq.oldest_waiting, latest_.n());
 
-  const ProcessId coordinator = coordinator_of(subrun);
-  if (coordinator == kNoProcess) return;
   if (coordinator == self_) {
+    rq.prev_decision = latest_;
     handle_request(std::move(rq));  // no network hop to oneself
     return;
   }
+  // The embed is latest_: lend it to the request for the encode (a swap,
+  // not a copy — encoding reads only the request and the cache).
+  std::swap(rq.prev_decision, latest_);
   bool was_delta = false;
   std::vector<std::uint8_t> frame =
-      encode_request_pdu(rq, config_, &was_delta);
+      encode_request_pdu(rq, config_, &was_delta, &cache_);
+  std::swap(rq.prev_decision, latest_);
   account_control(was_delta, frame.size(), 1);
   send_pdu(coordinator, std::move(frame), stats::MsgClass::kRequest);
 }
@@ -460,19 +462,16 @@ void UrcgcProcess::act_as_coordinator(SubrunId subrun) {
   }
   bool was_delta = false;
   std::vector<std::uint8_t> frame = encode_decision_pdu(
-      d, inputs.base, config_, receivers_hold_anchor, &was_delta);
+      d, inputs.base, config_, receivers_hold_anchor, &was_delta, &cache_);
   account_control(was_delta, frame.size(), d.n() - 1);
   broadcast_pdu(std::move(frame), stats::MsgClass::kDecision);
+  // Anchor window: received decisions are cached when they decode; our
+  // own computed decision joins it here.
+  if (config_.control_encoding == ControlEncoding::kDelta) cache_.insert(d);
   apply_decision(d);
 }
 
 void UrcgcProcess::apply_decision(const Decision& d) {
-  if (config_.control_encoding == ControlEncoding::kDelta) {
-    // Anchor window: received decisions were cached at decode time; this
-    // covers the coordinator's own computed decision and keeps the set
-    // complete even for stale arrivals.
-    cache_.insert(d);
-  }
   if (d.decided_at <= latest_.decided_at) return;  // stale or duplicate
   // Views only ever widen along the decision chain; a fresher-numbered but
   // narrower decision is a pre-join-era fork (a healed zombie deciding on
@@ -684,6 +683,16 @@ void UrcgcProcess::issue_recoveries(SubrunId subrun) {
 
 void UrcgcProcess::handle_request(Request rq) {
   if (rq.from < 0 || rq.from >= config_.n) return;  // beyond capacity
+  // An embed no fresher than our own decision can never become a
+  // coordinator base — freshest() keeps latest_ on ties, and latest_ only
+  // grows fresher — and from here on only its decided_at is read. Drop
+  // its body, so a full inbox window does not hold n copies of one
+  // decision.
+  if (rq.prev_decision.decided_at <= latest_.decided_at) {
+    const SubrunId embedded_at = rq.prev_decision.decided_at;
+    rq.prev_decision = Decision{};
+    rq.prev_decision.decided_at = embedded_at;
+  }
   if (rq.from >= latest_.n()) {
     // A sender past our view: a joiner admitted by a decision we have not
     // applied yet. We cannot judge its aliveness, but its embedded
@@ -986,37 +995,30 @@ void UrcgcProcess::on_datagram(ProcessId src,
   if (config_.control_encoding == ControlEncoding::kDelta) {
     ctx.cache = &cache_;
   }
-  auto pdu = decode_pdu(bytes, &ctx);
-  if (!pdu) {
-    if (ctx.anchor_missed) {
-      // A wire-valid delta frame whose anchor we do not hold: drop it as
-      // if the datagram had been lost — the protocol already tolerates
-      // that — and resynchronize at the next full snapshot. Distinct from
-      // decode_rejected, which is reserved for garbage bytes. The miss is
-      // also evidence the SENDER is estranged from our chain (a healed
-      // minority kept deciding on its partition-era fork and anchors on
-      // decisions we never saw), so the next decision we coordinate goes
-      // out as a snapshot the estranged member can decode — that is how a
-      // forked zombie finally reads its own death sentence and suicides.
-      ++counters_.delta_anchor_miss;
-      bump(m_.delta_anchor_miss);
-      snapshot_needed_ = true;
-      return;
-    }
-    // A truncated or corrupted datagram must never abort or desync the
-    // process: count it at the boundary and carry on.
-    ++counters_.decode_rejected;
-    bump(m_.decode_rejected);
-    URCGC_WARN("p" << self_ << ": undecodable PDU ("
-                   << wire::to_string(pdu.error()) << "), dropped");
-    return;
-  }
   // Only a frame we could actually use counts as hearing from the group:
   // a dropped delta (anchor miss) is handled "as if the datagram had been
   // lost", and a lost datagram would not have reset the silence guard
   // either — letting it do so here would pin a member that receives only
   // undecodable deltas in the group forever instead of leaving after K
   // silent coordinators, a liveness difference full encoding cannot have.
+  if (is_decision_frame(bytes)) {
+    // Decisions decode into the scratch and are committed — to the anchor
+    // cache, then to apply_decision — only once the whole frame decoded,
+    // so a garbage frame never touches live state.
+    if (auto st = decode_decision_frame(bytes, &ctx, rx_decision_); !st) {
+      drop_undecodable(ctx, st.error());
+      return;
+    }
+    if (ctx.cache != nullptr) cache_.insert(rx_decision_);
+    last_datagram_at_ = rt_.now();
+    handle_decision(src, rx_decision_);
+    return;
+  }
+  auto pdu = decode_pdu(bytes, &ctx);
+  if (!pdu) {
+    drop_undecodable(ctx, pdu.error());
+    return;
+  }
   last_datagram_at_ = rt_.now();
   std::visit(
       [this, src](auto&& payload) {
@@ -1038,18 +1040,7 @@ void UrcgcProcess::on_datagram(ProcessId src,
         } else if constexpr (std::is_same_v<T, Request>) {
           handle_request(std::move(payload));
         } else if constexpr (std::is_same_v<T, Decision>) {
-          // Decisions travel straight from their coordinator, so `src`
-          // names it. A cut member acting on its stale group view (e.g.
-          // a healed minority that has not yet learned of its own death)
-          // can coordinate a higher-numbered subrun that resurrects dead
-          // members and re-advertises their post-cut progress; applying
-          // it would steer recovery toward zombies and fork the history.
-          // A coordinator past our view is a joiner admitted by decisions
-          // we have not applied — its decision is exactly how we learn of
-          // the widened view, so it passes (apply_decision still rejects
-          // stale and narrower frames).
-          if (src >= 0 && src < latest_.n() && !latest_.alive[src]) return;
-          apply_decision(payload);
+          handle_decision(src, payload);  // decision frames return above
         } else if constexpr (std::is_same_v<T, RecoverRq>) {
           handle_recover_rq(payload);
         } else if constexpr (std::is_same_v<T, RecoverRsp>) {
@@ -1070,6 +1061,45 @@ void UrcgcProcess::on_datagram(ProcessId src,
         }
       },
       std::move(pdu).value());
+}
+
+void UrcgcProcess::drop_undecodable(const DecodeContext& ctx,
+                                    wire::DecodeError error) {
+  if (ctx.anchor_missed) {
+    // A wire-valid delta frame whose anchor we do not hold: drop it as
+    // if the datagram had been lost — the protocol already tolerates
+    // that — and resynchronize at the next full snapshot. Distinct from
+    // decode_rejected, which is reserved for garbage bytes. The miss is
+    // also evidence the SENDER is estranged from our chain (a healed
+    // minority kept deciding on its partition-era fork and anchors on
+    // decisions we never saw), so the next decision we coordinate goes
+    // out as a snapshot the estranged member can decode — that is how a
+    // forked zombie finally reads its own death sentence and suicides.
+    ++counters_.delta_anchor_miss;
+    bump(m_.delta_anchor_miss);
+    snapshot_needed_ = true;
+    return;
+  }
+  // A truncated or corrupted datagram must never abort or desync the
+  // process: count it at the boundary and carry on.
+  ++counters_.decode_rejected;
+  bump(m_.decode_rejected);
+  URCGC_WARN("p" << self_ << ": undecodable PDU (" << wire::to_string(error)
+                 << "), dropped");
+}
+
+void UrcgcProcess::handle_decision(ProcessId src, const Decision& d) {
+  // Decisions travel straight from their coordinator, so `src` names it.
+  // A cut member acting on its stale group view (e.g. a healed minority
+  // that has not yet learned of its own death) can coordinate a
+  // higher-numbered subrun that resurrects dead members and re-advertises
+  // their post-cut progress; applying it would steer recovery toward
+  // zombies and fork the history. A coordinator past our view is a joiner
+  // admitted by decisions we have not applied — its decision is exactly
+  // how we learn of the widened view, so it passes (apply_decision still
+  // rejects stale and narrower frames).
+  if (src >= 0 && src < latest_.n() && !latest_.alive[src]) return;
+  apply_decision(d);
 }
 
 void UrcgcProcess::halt(HaltReason reason) {

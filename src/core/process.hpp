@@ -95,6 +95,8 @@ class UrcgcProcess {
   [[nodiscard]] HaltReason halt_reason() const { return halt_reason_; }
   [[nodiscard]] const MtEntity& mt() const { return mt_; }
   [[nodiscard]] const Decision& latest_decision() const { return latest_; }
+  /// Delta-encoding anchor window (empty under full encoding).
+  [[nodiscard]] const DecisionCache& decision_cache() const { return cache_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
   /// Dynamic-membership phase (DESIGN.md section 12). Founders are members
@@ -238,6 +240,9 @@ class UrcgcProcess {
   [[nodiscard]] std::vector<ProcessId> recovery_candidates(
       ProcessId origin, Seq from_seq) const;
 
+  /// Applies a decoded decision unless its coordinator `src` is a member
+  /// our view has cut.
+  void handle_decision(ProcessId src, const Decision& d);
   void handle_request(Request rq);
   void handle_recover_rq(const RecoverRq& rq);
   void handle_recover_rsp(RecoverRsp rsp);
@@ -262,6 +267,10 @@ class UrcgcProcess {
   [[nodiscard]] bool from_zombie(const Mid& mid) const;
   /// Drops a zombie message with accounting; returns true when dropped.
   bool drop_if_zombie(const AppMessage& msg);
+
+  /// Accounts a datagram that did not decode: an anchor miss (dropped as
+  /// an omission, next coordinated decision a snapshot) or garbage.
+  void drop_undecodable(const DecodeContext& ctx, wire::DecodeError error);
 
   void halt(HaltReason reason);
   /// Control-plane byte accounting per frame kind: `copies` is the fan-out
@@ -331,6 +340,10 @@ class UrcgcProcess {
   /// Delta-encoding anchor window: decisions recently applied, computed
   /// or decoded here (populated only under ControlEncoding::kDelta).
   DecisionCache cache_;
+  /// Scratch a received DECISION frame decodes into before it is committed
+  /// to cache_ and applied; reused, so its vectors keep their capacity.
+  /// Never aliased by latest_ or a cache slot.
+  Decision rx_decision_;
   Seq next_seq_ = 1;
   std::deque<std::pair<std::vector<std::uint8_t>, std::vector<Mid>>>
       user_queue_;

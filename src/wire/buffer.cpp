@@ -1,32 +1,17 @@
 #include "wire/buffer.hpp"
 
+#include <cstring>
+
 namespace urcgc::wire {
-
-void Writer::u16(std::uint16_t v) {
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
-  bytes_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::u32(std::uint32_t v) {
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 24));
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 16));
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
-  bytes_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v >> 32));
-  u32(static_cast<std::uint32_t>(v));
-}
 
 void Writer::bytes(std::span<const std::uint8_t> data) {
   u32(static_cast<std::uint32_t>(data.size()));
-  bytes_.insert(bytes_.end(), data.begin(), data.end());
+  if (!data.empty()) std::memcpy(grow(data.size()), data.data(), data.size());
 }
 
 void Writer::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
+  if (!s.empty()) std::memcpy(grow(s.size()), s.data(), s.size());
 }
 
 std::string_view to_string(DecodeError err) {
@@ -43,47 +28,6 @@ bool Reader::take(std::size_t n, std::span<const std::uint8_t>& out) {
   out = data_.subspan(pos_, n);
   pos_ += n;
   return true;
-}
-
-Result<std::uint8_t, DecodeError> Reader::u8() {
-  std::span<const std::uint8_t> s;
-  if (!take(1, s)) return Unexpected(DecodeError::kTruncated);
-  return s[0];
-}
-
-Result<std::uint16_t, DecodeError> Reader::u16() {
-  std::span<const std::uint8_t> s;
-  if (!take(2, s)) return Unexpected(DecodeError::kTruncated);
-  return static_cast<std::uint16_t>((s[0] << 8) | s[1]);
-}
-
-Result<std::uint32_t, DecodeError> Reader::u32() {
-  std::span<const std::uint8_t> s;
-  if (!take(4, s)) return Unexpected(DecodeError::kTruncated);
-  return (static_cast<std::uint32_t>(s[0]) << 24) |
-         (static_cast<std::uint32_t>(s[1]) << 16) |
-         (static_cast<std::uint32_t>(s[2]) << 8) |
-         static_cast<std::uint32_t>(s[3]);
-}
-
-Result<std::uint64_t, DecodeError> Reader::u64() {
-  auto hi = u32();
-  if (!hi) return Unexpected(hi.error());
-  auto lo = u32();
-  if (!lo) return Unexpected(lo.error());
-  return (static_cast<std::uint64_t>(hi.value()) << 32) | lo.value();
-}
-
-Result<std::int32_t, DecodeError> Reader::i32() {
-  auto v = u32();
-  if (!v) return Unexpected(v.error());
-  return static_cast<std::int32_t>(v.value());
-}
-
-Result<std::int64_t, DecodeError> Reader::i64() {
-  auto v = u64();
-  if (!v) return Unexpected(v.error());
-  return static_cast<std::int64_t>(v.value());
 }
 
 Result<bool, DecodeError> Reader::boolean() {

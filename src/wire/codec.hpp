@@ -68,52 +68,63 @@ inline void put_seqs(Writer& w, const std::vector<Seq>& seqs) {
 
 /// Compact sequence vector: u32 per entry. Protocol sequence numbers are
 /// per-originator counters that stay far below 2^32 in any realistic run;
-/// the in-memory type stays 64-bit.
-inline void put_seqs32(Writer& w, const std::vector<Seq>& seqs) {
+/// the in-memory type stays 64-bit. Like the other put_* helpers of the
+/// decision body, it writes to any Writer-shaped sink (Fnv1aSink digests
+/// the same bytes without storing them).
+template <typename Sink>
+inline void put_seqs32(Sink& w, const std::vector<Seq>& seqs) {
   w.u32(static_cast<std::uint32_t>(seqs.size()));
   for (Seq s : seqs) w.u32(static_cast<std::uint32_t>(s));
 }
 
-[[nodiscard]] inline Result<std::vector<Seq>, DecodeError> get_seqs32(
-    Reader& r) {
+/// Decodes a put_seqs32 vector into `out`, reusing its capacity.
+[[nodiscard]] inline Status<DecodeError> read_seqs32(Reader& r,
+                                                     std::vector<Seq>& out) {
   auto count = r.u32();
   if (!count) return Unexpected(count.error());
   if (count.value() * 4ULL > r.remaining()) {
     return Unexpected(DecodeError::kTruncated);
   }
+  out.resize(count.value());
+  for (Seq& s : out) s = static_cast<Seq>(r.u32().value());
+  return {};
+}
+
+[[nodiscard]] inline Result<std::vector<Seq>, DecodeError> get_seqs32(
+    Reader& r) {
   std::vector<Seq> seqs;
-  seqs.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto s = r.u32();
-    if (!s) return Unexpected(s.error());
-    seqs.push_back(static_cast<Seq>(s.value()));
-  }
+  if (auto st = read_seqs32(r, seqs); !st) return Unexpected(st.error());
   return seqs;
 }
 
-inline void put_u8s(Writer& w, const std::vector<std::uint8_t>& values) {
+template <typename Sink>
+inline void put_u8s(Sink& w, const std::vector<std::uint8_t>& values) {
   w.u32(static_cast<std::uint32_t>(values.size()));
   for (std::uint8_t v : values) w.u8(v);
 }
 
-[[nodiscard]] inline Result<std::vector<std::uint8_t>, DecodeError> get_u8s(
-    Reader& r) {
+/// Decodes a put_u8s vector into `out`, reusing its capacity.
+[[nodiscard]] inline Status<DecodeError> read_u8s(
+    Reader& r, std::vector<std::uint8_t>& out) {
   auto count = r.u32();
   if (!count) return Unexpected(count.error());
   if (count.value() > r.remaining()) {
     return Unexpected(DecodeError::kTruncated);
   }
+  out.resize(count.value());
+  for (std::uint8_t& v : out) v = r.u8().value();
+  return {};
+}
+
+[[nodiscard]] inline Result<std::vector<std::uint8_t>, DecodeError> get_u8s(
+    Reader& r) {
   std::vector<std::uint8_t> values;
-  values.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto v = r.u8();
-    if (!v) return Unexpected(v.error());
-    values.push_back(v.value());
-  }
+  if (auto st = read_u8s(r, values); !st) return Unexpected(st.error());
   return values;
 }
 
-inline void put_bools(Writer& w, const std::vector<bool>& values) {
+template <typename Sink>
+inline void put_bools(Sink& w, const std::vector<bool>& values) {
   // Bit-packed: matches the paper's per-process state bitmaps.
   w.u32(static_cast<std::uint32_t>(values.size()));
   std::uint8_t acc = 0;
@@ -129,28 +140,31 @@ inline void put_bools(Writer& w, const std::vector<bool>& values) {
   if (bit != 0) w.u8(acc);
 }
 
-[[nodiscard]] inline Result<std::vector<bool>, DecodeError> get_bools(
-    Reader& r) {
+/// Decodes a put_bools bitmap into `out`, reusing its capacity.
+[[nodiscard]] inline Status<DecodeError> read_bools(Reader& r,
+                                                    std::vector<bool>& out) {
   auto count = r.u32();
   if (!count) return Unexpected(count.error());
   // Widen before rounding up: in 32-bit arithmetic a hostile count near
   // 2^32 wraps (count + 7) to a tiny value, defeating the truncation guard
-  // and reserving gigabytes below. The other get_* pre-checks multiply by
+  // and reserving gigabytes below. The other read_* pre-checks multiply by
   // a ULL element size, which already promotes to 64 bits.
   const std::uint64_t nbytes =
       (static_cast<std::uint64_t>(count.value()) + 7) / 8;
   if (nbytes > r.remaining()) return Unexpected(DecodeError::kTruncated);
-  std::vector<bool> values;
-  values.reserve(count.value());
+  out.resize(count.value());
   std::uint8_t acc = 0;
   for (std::uint32_t i = 0; i < count.value(); ++i) {
-    if (i % 8 == 0) {
-      auto b = r.u8();
-      if (!b) return Unexpected(b.error());
-      acc = b.value();
-    }
-    values.push_back((acc >> (i % 8)) & 1u);
+    if (i % 8 == 0) acc = r.u8().value();
+    out[i] = ((acc >> (i % 8)) & 1u) != 0;
   }
+  return {};
+}
+
+[[nodiscard]] inline Result<std::vector<bool>, DecodeError> get_bools(
+    Reader& r) {
+  std::vector<bool> values;
+  if (auto st = read_bools(r, values); !st) return Unexpected(st.error());
   return values;
 }
 

@@ -4,9 +4,10 @@
 // "Control-plane encoding"). Each section is a u16 entry count followed by
 // (u16 index, payload) pairs whose indices are strictly increasing — the
 // canonical form; decoders reject duplicates and disorder as kBadValue so
-// a frame has exactly one valid encoding. Like codec.hpp, every decoder
-// pre-checks the count against remaining() before allocating, defending
-// against hostile length prefixes.
+// a frame has exactly one valid encoding. Decoders patch the receiver's
+// copy of the baseline in place, so a reused vector keeps its capacity;
+// like codec.hpp, each one pre-checks the count against remaining()
+// before reading, defending against hostile length prefixes.
 
 #include <cstdint>
 #include <vector>
@@ -21,45 +22,70 @@ namespace urcgc::wire {
 /// the same argument for process ids).
 inline constexpr std::size_t kSparseMaxIndex = 0xFFFF;
 
+/// Writes one sparse section: the u16 count of entries where `v` differs
+/// from `base_at(i)`, then each such index followed by `put_value(v[i])`.
+template <typename V, typename BaseAt, typename PutValue>
+inline void put_sparse(Writer& w, const V& v, BaseAt base_at,
+                       PutValue put_value) {
+  URCGC_ASSERT(v.size() <= kSparseMaxIndex);
+  std::uint16_t count = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] != base_at(i)) ++count;
+  }
+  w.u16(count);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] == base_at(i)) continue;
+    w.u16(static_cast<std::uint16_t>(i));
+    put_value(v[i]);
+  }
+}
+
+/// Reads one sparse section and applies it to `v` in place (`v` holds the
+/// baseline on entry). `entry_bytes` is the wire size of one (index,
+/// payload) pair; `apply(r, i)` reads the payload of index i into v[i].
+/// On error `v` is partially patched — callers decode into scratch.
+template <typename V, typename Apply>
+[[nodiscard]] inline Status<DecodeError> patch_sparse(Reader& r, V& v,
+                                                      std::size_t entry_bytes,
+                                                      Apply apply) {
+  auto count = r.u16();
+  if (!count) return Unexpected(count.error());
+  if (count.value() * static_cast<std::uint64_t>(entry_bytes) >
+      r.remaining()) {
+    return Unexpected(DecodeError::kTruncated);
+  }
+  std::int64_t prev = -1;
+  for (std::uint16_t i = 0; i < count.value(); ++i) {
+    const std::uint16_t idx = r.u16().value();
+    if (idx >= v.size() || idx <= prev) {
+      return Unexpected(DecodeError::kBadValue);
+    }
+    prev = idx;
+    apply(r, idx);
+  }
+  return {};
+}
+
 /// Seq overrides: (u16 index, u32 seq) per entry where `v` differs from
 /// `base`. Sequence numbers use the same u32 wire width as put_seqs32.
 inline void put_sparse_seqs(Writer& w, const std::vector<Seq>& v,
                             const std::vector<Seq>& base) {
   URCGC_ASSERT(v.size() == base.size());
-  URCGC_ASSERT(v.size() <= kSparseMaxIndex);
-  std::uint16_t count = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] != base[i]) ++count;
-  }
-  w.u16(count);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] == base[i]) continue;
-    w.u16(static_cast<std::uint16_t>(i));
-    w.u32(static_cast<std::uint32_t>(v[i]));
-  }
+  put_sparse(w, v, [&](std::size_t i) { return base[i]; },
+             [&](Seq s) { w.u32(static_cast<std::uint32_t>(s)); });
 }
 
-[[nodiscard]] inline Result<std::vector<Seq>, DecodeError> get_sparse_seqs(
-    Reader& r, const std::vector<Seq>& base) {
-  auto count = r.u16();
-  if (!count) return Unexpected(count.error());
-  if (count.value() * 6ULL > r.remaining()) {
-    return Unexpected(DecodeError::kTruncated);
-  }
-  std::vector<Seq> v = base;
-  std::int64_t prev = -1;
-  for (std::uint16_t i = 0; i < count.value(); ++i) {
-    auto idx = r.u16();
-    if (!idx) return Unexpected(idx.error());
-    auto seq = r.u32();
-    if (!seq) return Unexpected(seq.error());
-    if (idx.value() >= v.size() || idx.value() <= prev) {
-      return Unexpected(DecodeError::kBadValue);
-    }
-    prev = idx.value();
-    v[idx.value()] = static_cast<Seq>(seq.value());
-  }
-  return v;
+/// The same section against a baseline whose every entry is `fill`.
+inline void put_sparse_seqs(Writer& w, const std::vector<Seq>& v, Seq fill) {
+  put_sparse(w, v, [fill](std::size_t) { return fill; },
+             [&](Seq s) { w.u32(static_cast<std::uint32_t>(s)); });
+}
+
+[[nodiscard]] inline Status<DecodeError> patch_sparse_seqs(
+    Reader& r, std::vector<Seq>& v) {
+  return patch_sparse(r, v, 6, [&v](Reader& in, std::size_t i) {
+    v[i] = static_cast<Seq>(in.u32().value());
+  });
 }
 
 /// Bool flip list: u16 indices where `v` differs from `base` (flipping the
@@ -67,76 +93,28 @@ inline void put_sparse_seqs(Writer& w, const std::vector<Seq>& v,
 inline void put_sparse_flips(Writer& w, const std::vector<bool>& v,
                              const std::vector<bool>& base) {
   URCGC_ASSERT(v.size() == base.size());
-  URCGC_ASSERT(v.size() <= kSparseMaxIndex);
-  std::uint16_t count = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] != base[i]) ++count;
-  }
-  w.u16(count);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] != base[i]) w.u16(static_cast<std::uint16_t>(i));
-  }
+  put_sparse(w, v, [&](std::size_t i) { return base[i]; }, [](bool) {});
 }
 
-[[nodiscard]] inline Result<std::vector<bool>, DecodeError> get_sparse_flips(
-    Reader& r, const std::vector<bool>& base) {
-  auto count = r.u16();
-  if (!count) return Unexpected(count.error());
-  if (count.value() * 2ULL > r.remaining()) {
-    return Unexpected(DecodeError::kTruncated);
-  }
-  std::vector<bool> v = base;
-  std::int64_t prev = -1;
-  for (std::uint16_t i = 0; i < count.value(); ++i) {
-    auto idx = r.u16();
-    if (!idx) return Unexpected(idx.error());
-    if (idx.value() >= v.size() || idx.value() <= prev) {
-      return Unexpected(DecodeError::kBadValue);
-    }
-    prev = idx.value();
-    v[idx.value()] = !v[idx.value()];
-  }
-  return v;
+[[nodiscard]] inline Status<DecodeError> patch_sparse_flips(
+    Reader& r, std::vector<bool>& v) {
+  return patch_sparse(r, v, 2,
+                      [&v](Reader&, std::size_t i) { v[i] = !v[i]; });
 }
 
 /// u8 overrides: (u16 index, u8 value) — the attempts counters.
 inline void put_sparse_u8s(Writer& w, const std::vector<std::uint8_t>& v,
                            const std::vector<std::uint8_t>& base) {
   URCGC_ASSERT(v.size() == base.size());
-  URCGC_ASSERT(v.size() <= kSparseMaxIndex);
-  std::uint16_t count = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] != base[i]) ++count;
-  }
-  w.u16(count);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] == base[i]) continue;
-    w.u16(static_cast<std::uint16_t>(i));
-    w.u8(v[i]);
-  }
+  put_sparse(w, v, [&](std::size_t i) { return base[i]; },
+             [&](std::uint8_t value) { w.u8(value); });
 }
 
-[[nodiscard]] inline Result<std::vector<std::uint8_t>, DecodeError>
-get_sparse_u8s(Reader& r, const std::vector<std::uint8_t>& base) {
-  auto count = r.u16();
-  if (!count) return Unexpected(count.error());
-  if (count.value() * 3ULL > r.remaining()) {
-    return Unexpected(DecodeError::kTruncated);
-  }
-  std::vector<std::uint8_t> v = base;
-  std::int64_t prev = -1;
-  for (std::uint16_t i = 0; i < count.value(); ++i) {
-    auto idx = r.u16();
-    if (!idx) return Unexpected(idx.error());
-    auto value = r.u8();
-    if (!value) return Unexpected(value.error());
-    if (idx.value() >= v.size() || idx.value() <= prev) {
-      return Unexpected(DecodeError::kBadValue);
-    }
-    prev = idx.value();
-    v[idx.value()] = value.value();
-  }
-  return v;
+[[nodiscard]] inline Status<DecodeError> patch_sparse_u8s(
+    Reader& r, std::vector<std::uint8_t>& v) {
+  return patch_sparse(r, v, 3, [&v](Reader& in, std::size_t i) {
+    v[i] = in.u8().value();
+  });
 }
 
 /// ProcessId overrides: (u16 index, u16 pid) with pdu.cpp's 0xFFFF =
@@ -144,41 +122,18 @@ get_sparse_u8s(Reader& r, const std::vector<std::uint8_t>& base) {
 inline void put_sparse_pids(Writer& w, const std::vector<ProcessId>& v,
                             const std::vector<ProcessId>& base) {
   URCGC_ASSERT(v.size() == base.size());
-  URCGC_ASSERT(v.size() <= kSparseMaxIndex);
-  std::uint16_t count = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] != base[i]) ++count;
-  }
-  w.u16(count);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] == base[i]) continue;
-    w.u16(static_cast<std::uint16_t>(i));
-    w.u16(v[i] == kNoProcess ? 0xFFFF : static_cast<std::uint16_t>(v[i]));
-  }
+  put_sparse(w, v, [&](std::size_t i) { return base[i]; },
+             [&](ProcessId p) {
+               w.u16(p == kNoProcess ? 0xFFFF : static_cast<std::uint16_t>(p));
+             });
 }
 
-[[nodiscard]] inline Result<std::vector<ProcessId>, DecodeError>
-get_sparse_pids(Reader& r, const std::vector<ProcessId>& base) {
-  auto count = r.u16();
-  if (!count) return Unexpected(count.error());
-  if (count.value() * 4ULL > r.remaining()) {
-    return Unexpected(DecodeError::kTruncated);
-  }
-  std::vector<ProcessId> v = base;
-  std::int64_t prev = -1;
-  for (std::uint16_t i = 0; i < count.value(); ++i) {
-    auto idx = r.u16();
-    if (!idx) return Unexpected(idx.error());
-    auto pid = r.u16();
-    if (!pid) return Unexpected(pid.error());
-    if (idx.value() >= v.size() || idx.value() <= prev) {
-      return Unexpected(DecodeError::kBadValue);
-    }
-    prev = idx.value();
-    v[idx.value()] =
-        pid.value() == 0xFFFF ? kNoProcess : static_cast<ProcessId>(pid.value());
-  }
-  return v;
+[[nodiscard]] inline Status<DecodeError> patch_sparse_pids(
+    Reader& r, std::vector<ProcessId>& v) {
+  return patch_sparse(r, v, 4, [&v](Reader& in, std::size_t i) {
+    const std::uint16_t pid = in.u16().value();
+    v[i] = pid == 0xFFFF ? kNoProcess : static_cast<ProcessId>(pid);
+  });
 }
 
 }  // namespace urcgc::wire

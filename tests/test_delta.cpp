@@ -10,16 +10,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <variant>
 #include <vector>
 
+#include "alloc_guard.hpp"
 #include "check/case.hpp"
 #include "check/explorer.hpp"
 #include "common/rng.hpp"
 #include "core/delta.hpp"
 #include "core/pdu.hpp"
+#include "core/process.hpp"
 #include "harness/experiment.hpp"
+#include "net/endpoint.hpp"
 #include "obs/registry.hpp"
+#include "sim/simulation.hpp"
 #include "stats/metrics.hpp"
 #include "wire/sparse.hpp"
 
@@ -74,9 +80,9 @@ TEST(SparseCodec, SeqOverridesRoundTrip) {
   wire::Writer w;
   wire::put_sparse_seqs(w, v, base);
   wire::Reader r(w.view());
-  auto decoded = wire::get_sparse_seqs(r, base);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded.value(), v);
+  std::vector<Seq> decoded = base;
+  ASSERT_TRUE(wire::patch_sparse_seqs(r, decoded).ok());
+  EXPECT_EQ(decoded, v);
   EXPECT_TRUE(r.finish().ok());
 }
 
@@ -104,15 +110,15 @@ TEST(SparseCodec, FlipsAndU8sAndPidsRoundTrip) {
   wire::put_sparse_u8s(w, u, ubase);
   wire::put_sparse_pids(w, p, pbase);
   wire::Reader r(w.view());
-  auto db = wire::get_sparse_flips(r, bbase);
-  auto du = wire::get_sparse_u8s(r, ubase);
-  auto dp = wire::get_sparse_pids(r, pbase);
-  ASSERT_TRUE(db.has_value());
-  ASSERT_TRUE(du.has_value());
-  ASSERT_TRUE(dp.has_value());
-  EXPECT_EQ(db.value(), b);
-  EXPECT_EQ(du.value(), u);
-  EXPECT_EQ(dp.value(), p);
+  std::vector<bool> db = bbase;
+  std::vector<std::uint8_t> du = ubase;
+  std::vector<ProcessId> dp = pbase;
+  ASSERT_TRUE(wire::patch_sparse_flips(r, db).ok());
+  ASSERT_TRUE(wire::patch_sparse_u8s(r, du).ok());
+  ASSERT_TRUE(wire::patch_sparse_pids(r, dp).ok());
+  EXPECT_EQ(db, b);
+  EXPECT_EQ(du, u);
+  EXPECT_EQ(dp, p);
   EXPECT_TRUE(r.finish().ok());
 }
 
@@ -127,9 +133,10 @@ TEST(SparseCodec, DisorderedIndicesRejected) {
     w.u16(second);
     w.u32(9);
     wire::Reader r(w.view());
-    auto decoded = wire::get_sparse_seqs(r, std::vector<Seq>(5, kNoSeq));
-    ASSERT_FALSE(decoded.has_value());
-    EXPECT_EQ(decoded.error(), wire::DecodeError::kBadValue);
+    std::vector<Seq> decoded(5, kNoSeq);
+    const auto st = wire::patch_sparse_seqs(r, decoded);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error(), wire::DecodeError::kBadValue);
   }
 }
 
@@ -139,9 +146,10 @@ TEST(SparseCodec, OutOfRangeIndexRejected) {
   w.u16(5);  // base has 5 entries: valid indices are 0..4
   w.u32(1);
   wire::Reader r(w.view());
-  auto decoded = wire::get_sparse_seqs(r, std::vector<Seq>(5, kNoSeq));
-  ASSERT_FALSE(decoded.has_value());
-  EXPECT_EQ(decoded.error(), wire::DecodeError::kBadValue);
+  std::vector<Seq> decoded(5, kNoSeq);
+  const auto st = wire::patch_sparse_seqs(r, decoded);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error(), wire::DecodeError::kBadValue);
 }
 
 TEST(SparseCodec, HostileCountRejectedBeforeAllocating) {
@@ -151,9 +159,10 @@ TEST(SparseCodec, HostileCountRejectedBeforeAllocating) {
   w.u16(0xFFFF);
   w.u32(0);
   wire::Reader r(w.view());
-  auto decoded = wire::get_sparse_seqs(r, std::vector<Seq>(5, kNoSeq));
-  ASSERT_FALSE(decoded.has_value());
-  EXPECT_EQ(decoded.error(), wire::DecodeError::kTruncated);
+  std::vector<Seq> decoded(5, kNoSeq);
+  const auto st = wire::patch_sparse_seqs(r, decoded);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error(), wire::DecodeError::kTruncated);
 }
 
 TEST(SparseCodec, RandomBytesNeverCrash) {
@@ -163,10 +172,9 @@ TEST(SparseCodec, RandomBytesNeverCrash) {
     std::vector<std::uint8_t> bytes(rng.uniform(24));
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
     wire::Reader r(bytes);
-    auto decoded = wire::get_sparse_seqs(r, base);
-    if (decoded.has_value()) {
-      EXPECT_EQ(decoded.value().size(), base.size());
-    }
+    std::vector<Seq> decoded = base;
+    (void)wire::patch_sparse_seqs(r, decoded);
+    EXPECT_EQ(decoded.size(), base.size());
   }
 }
 
@@ -181,6 +189,22 @@ TEST(DecisionDigest, DeterministicAndContentSensitive) {
   Decision twin = a;
   twin.clean_upto[2] += 1;
   EXPECT_NE(decision_digest(a), decision_digest(twin));
+}
+
+TEST(DecisionDigest, GoldenValues) {
+  // The digest names anchors on the wire, so its value is part of the
+  // protocol: these literals were taken from the Writer-based digest the
+  // streamed one replaced.
+  EXPECT_EQ(decision_digest(sample_decision(6, 17)), 0x875F16E1585B397EULL);
+
+  Decision b = sample_decision(5, 20);
+  b.full_group = true;
+  b.alive[3] = false;
+  b.most_updated[2] = kNoProcess;
+  b.stability_epoch = 3;
+  b.boundaries.push_back({12, std::vector<Seq>(5, 4)});
+  b.boundaries.push_back({19, {1, 2, 3, 4, 5}});
+  EXPECT_EQ(decision_digest(b), 0xC02B2C2AF634CA07ULL);
 }
 
 TEST(DecisionCache, InsertFindDedupeEvict) {
@@ -204,6 +228,69 @@ TEST(DecisionCache, InsertFindDedupeEvict) {
   EXPECT_EQ(cache.find(a.decided_at, decision_digest(a)), nullptr)
       << "oldest entry must be evicted FIFO";
   EXPECT_NE(cache.find(13, decision_digest(sample_decision(4, 13))), nullptr);
+}
+
+TEST(DecisionCache, StoresTheDigestAtInsert) {
+  DecisionCache cache(4);
+  const Decision a = sample_decision(6, 17);
+  cache.insert(a);
+  EXPECT_EQ(cache.digest_of(a), decision_digest(a));
+  EXPECT_NE(cache.find(a.decided_at, decision_digest(a)), nullptr);
+  // An uncached decision's digest is computed on demand.
+  const Decision b = evolve(a);
+  EXPECT_EQ(cache.digest_of(b), decision_digest(b));
+}
+
+TEST(DecisionCache, EqualReinsertAllocatesNothing) {
+  DecisionCache cache(4);
+  const Decision a = sample_decision(6, 17);
+  cache.insert(a);
+  const Decision copy = a;
+  {
+    testsupport::AllocationCapGuard guard(0);
+    const std::uint64_t before = testsupport::thread_allocations();
+    cache.insert(copy);
+    EXPECT_EQ(testsupport::thread_allocations(), before);
+  }
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(DecisionCache, SameSubrunTwinGetsItsOwnEntry) {
+  // Partitioned coordinators can decide the same subrun differently: the
+  // dedupe compares whole bodies, never decided_at alone.
+  DecisionCache cache(4);
+  const Decision a = sample_decision(6, 17);
+  Decision twin = a;
+  twin.clean_upto[2] += 1;
+  cache.insert(a);
+  cache.insert(twin);
+  EXPECT_EQ(cache.size(), 2u);
+  const Decision* found_a = cache.find(a.decided_at, decision_digest(a));
+  const Decision* found_twin =
+      cache.find(twin.decided_at, decision_digest(twin));
+  ASSERT_NE(found_a, nullptr);
+  ASSERT_NE(found_twin, nullptr);
+  EXPECT_EQ(*found_a, a);
+  EXPECT_EQ(*found_twin, twin);
+}
+
+TEST(DecisionCache, RingStopsAllocatingAfterWarmUp) {
+  DecisionCache cache(4);
+  for (SubrunId s = 10; s < 14; ++s) cache.insert(sample_decision(6, s));
+  std::vector<Decision> later;
+  for (SubrunId s = 14; s < 22; ++s) later.push_back(sample_decision(6, s));
+  {
+    testsupport::AllocationCapGuard guard(0);
+    const std::uint64_t before = testsupport::thread_allocations();
+    for (const Decision& d : later) cache.insert(d);
+    EXPECT_EQ(testsupport::thread_allocations(), before);
+  }
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.find(17, decision_digest(sample_decision(6, 17))), nullptr);
+  for (SubrunId s = 18; s < 22; ++s) {
+    EXPECT_NE(cache.find(s, decision_digest(sample_decision(6, s))), nullptr)
+        << "s=" << s;
+  }
 }
 
 TEST(DecisionCache, WindowCoversPipelineDepth) {
@@ -264,6 +351,32 @@ TEST(DeltaFrames, DecisionWithBoundaryAppendRoundTrips) {
   auto pdu = decode_pdu(frame, &ctx);
   ASSERT_TRUE(pdu.has_value());
   EXPECT_EQ(std::get<Decision>(pdu.value()), d);
+}
+
+TEST(DeltaFrames, DeltaOnTheOldestRingEntryDecodesLikeAFullFrame) {
+  // Wrap the ring, then decode a delta anchored on its oldest entry: the
+  // decoded decision's own insert overwrites that very slot, so the
+  // decoder must be done reading the anchor before the commit.
+  DecisionCache cache(4);
+  for (SubrunId s = 10; s < 16; ++s) cache.insert(sample_decision(6, s));
+  const Decision oldest = sample_decision(6, 12);
+  ASSERT_NE(cache.find(12, decision_digest(oldest)), nullptr);
+
+  const Decision d = evolve(oldest);  // a twin of the cached subrun 13
+  bool was_delta = false;
+  const auto frame =
+      encode_decision_pdu(d, oldest, delta_config(), true, &was_delta, &cache);
+  ASSERT_TRUE(was_delta);
+
+  DecodeContext ctx;
+  ctx.cache = &cache;
+  auto delta = decode_pdu(frame, &ctx);
+  ASSERT_TRUE(delta.has_value());
+  auto full = decode_pdu(encode_pdu(d));
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(std::get<Decision>(delta.value()), std::get<Decision>(full.value()));
+  EXPECT_EQ(cache.find(12, decision_digest(oldest)), nullptr);
+  EXPECT_NE(cache.find(d.decided_at, decision_digest(d)), nullptr);
 }
 
 TEST(DeltaFrames, RequestRoundTripsAgainstItsOwnEmbed) {
@@ -450,6 +563,175 @@ TEST(DeltaFrames, TruncationAndMutationFuzzNeverCrash) {
       }
     }
   }
+}
+
+// ---- a process's decision receive path ----
+
+/// Endpoint decorator for one member: forwards its traffic, lets the test
+/// inject datagrams through the member's upcall, and counts allocations
+/// made while the member handles each DECISION frame it receives.
+class TapEndpoint final : public net::Endpoint {
+ public:
+  explicit TapEndpoint(std::unique_ptr<net::Endpoint> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] ProcessId self() const override { return inner_->self(); }
+  void set_upcall(UpcallFn fn) override {
+    upcall_ = std::move(fn);
+    inner_->set_upcall(
+        [this](ProcessId src, std::span<const std::uint8_t> bytes) {
+          if (!measuring || !is_decision_frame(bytes)) {
+            upcall_(src, bytes);
+            return;
+          }
+          const std::uint64_t before = testsupport::thread_allocations();
+          upcall_(src, bytes);
+          decision_allocations += testsupport::thread_allocations() - before;
+          ++decision_frames;
+        });
+  }
+  void send(ProcessId dst, wire::SharedBuffer payload) override {
+    inner_->send(dst, std::move(payload));
+  }
+  void broadcast(wire::SharedBuffer payload) override {
+    inner_->broadcast(std::move(payload));
+  }
+  using Endpoint::broadcast;
+  using Endpoint::send;
+
+  void inject(ProcessId src, std::span<const std::uint8_t> bytes) {
+    upcall_(src, bytes);
+  }
+
+  bool measuring = false;
+  std::uint64_t decision_frames = 0;
+  std::uint64_t decision_allocations = 0;
+
+ private:
+  std::unique_ptr<net::Endpoint> inner_;
+  UpcallFn upcall_;
+};
+
+/// A sim group whose member `tapped` talks through a TapEndpoint.
+struct TappedGroup {
+  TappedGroup(const Config& config, ProcessId tapped)
+      : injector(fault::FaultPlan(config.n), Rng(51)),
+        network(sim, injector, {.min_latency = 5, .max_latency = 9},
+                Rng(52)) {
+    for (ProcessId p = 0; p < config.n; ++p) {
+      auto endpoint = std::make_unique<net::DatagramEndpoint>(network, p);
+      if (p == tapped) {
+        auto tap = std::make_unique<TapEndpoint>(std::move(endpoint));
+        this->tap = tap.get();
+        endpoints.push_back(std::move(tap));
+      } else {
+        endpoints.push_back(std::move(endpoint));
+      }
+      processes.push_back(std::make_unique<UrcgcProcess>(
+          config, p, sim, *endpoints.back(), injector));
+    }
+    for (auto& process : processes) process->start();
+  }
+
+  void run_subruns(int count, int messages_per_subrun) {
+    for (int i = 0; i < count; ++i) {
+      for (int m = 0; m < messages_per_subrun; ++m) {
+        processes[static_cast<std::size_t>(next_sender++ % processes.size())]
+            ->data_rq({1, 2, 3});
+      }
+      sim.run_until(sim.now() + sim.clock().ticks_per_subrun());
+    }
+  }
+
+  sim::Simulation sim;
+  fault::FaultInjector injector;
+  net::Network network;
+  std::vector<std::unique_ptr<net::Endpoint>> endpoints;
+  std::vector<std::unique_ptr<UrcgcProcess>> processes;
+  TapEndpoint* tap = nullptr;
+  int next_sender = 0;
+};
+
+TEST(DecisionReceive, GarbageDeltaLeavesLiveStateUntouched) {
+  Config config = delta_config(6);
+  TappedGroup g(config, 1);
+  g.run_subruns(5, 2);
+  const UrcgcProcess& p = *g.processes[1];
+  const Decision anchor = p.latest_decision();
+  ASSERT_GE(anchor.decided_at, 0);
+  ASSERT_NE(p.decision_cache().find(anchor.decided_at, decision_digest(anchor)),
+            nullptr);
+
+  Decision next = anchor;
+  next.decided_at = anchor.decided_at + 1;
+  next.coordinator = (anchor.coordinator + 1) % anchor.n();
+  next.full_group = false;  // no cleaning: the point would be arbitrary
+  next.attempts[2] = static_cast<std::uint8_t>(next.attempts[2] + 1);
+  next.max_processed[3] += 1;
+  Config never_snapshot = config;
+  never_snapshot.delta_snapshot_every = 1 << 20;
+  bool was_delta = false;
+  const auto valid = encode_decision_pdu(next, anchor, never_snapshot, true,
+                                         &was_delta);
+  ASSERT_TRUE(was_delta);
+
+  // Out-of-order sparse indices: (3, 1) in the first section. Index 3 is
+  // read and patched before index 1 fails the canonical-order check.
+  wire::Writer disordered;
+  disordered.u8(static_cast<std::uint8_t>(PduType::kDecisionDelta));
+  disordered.i64(anchor.decided_at);
+  disordered.u64(decision_digest(anchor));
+  disordered.i64(next.decided_at);
+  disordered.u16(static_cast<std::uint16_t>(next.coordinator));
+  disordered.u8(0);
+  disordered.u16(2);
+  disordered.u16(3);
+  disordered.u32(9);
+  disordered.u16(1);
+  disordered.u32(9);
+
+  const DecisionCache cache_before = p.decision_cache();
+  const auto applied_before = p.counters().decisions_applied;
+  const auto rejected_before = p.counters().decode_rejected;
+  const ProcessId src = next.coordinator;
+  std::uint64_t garbage = 0;
+  for (std::size_t cut = 1; cut < valid.size(); ++cut) {
+    g.tap->inject(src, std::span<const std::uint8_t>(valid.data(), cut));
+    ++garbage;
+  }
+  g.tap->inject(src, disordered.view());
+  ++garbage;
+
+  EXPECT_EQ(p.latest_decision(), anchor);
+  EXPECT_EQ(p.counters().decisions_applied, applied_before);
+  EXPECT_TRUE(p.decision_cache() == cache_before);
+  EXPECT_EQ(p.counters().decode_rejected, rejected_before + garbage);
+
+  // The next valid frame still decodes against the untouched anchor.
+  g.tap->inject(src, valid);
+  EXPECT_EQ(p.latest_decision(), next);
+  EXPECT_EQ(p.counters().decisions_applied, applied_before + 1);
+  EXPECT_NE(p.decision_cache().find(next.decided_at, decision_digest(next)),
+            nullptr);
+}
+
+TEST(DecisionReceive, AllocationBudgetAtOneHundredMembers) {
+  // Steady state at n = 100 with delta frames and a 4-deep pipeline: a
+  // member decodes each DECISION into its scratch, commits it to the ring
+  // and applies it without allocating.
+  Config config = delta_config(100);
+  config.max_subruns_in_flight = 4;
+  TappedGroup g(config, 7);
+  g.run_subruns(12, 4);  // warm-up: the ring wraps, vectors reach size
+  g.tap->measuring = true;
+  g.run_subruns(16, 4);  // includes the subrun-16 full snapshot frame
+  ASSERT_GE(g.tap->decision_frames, 12u);
+  EXPECT_LE(static_cast<double>(g.tap->decision_allocations) /
+                static_cast<double>(g.tap->decision_frames),
+            0.5)
+      << g.tap->decision_allocations << " allocations over "
+      << g.tap->decision_frames << " DECISION frames";
+  EXPECT_FALSE(g.processes[7]->halted());
 }
 
 // ---- cross-encoding equivalence through the experiment harness ----

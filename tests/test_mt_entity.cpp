@@ -92,7 +92,11 @@ TEST(MtEntity, LastProcessedVector) {
   mt.submit(chained(0, 1), 1);
   mt.submit(chained(2, 1), 2);
   mt.submit(chained(2, 2), 3);
-  EXPECT_EQ(mt.last_processed_vec(), (std::vector<Seq>{1, 0, 2}));
+  std::vector<Seq> out{7, 7, 7, 7};  // stale contents are overwritten
+  mt.last_processed_into(out, 3);
+  EXPECT_EQ(out, (std::vector<Seq>{1, 0, 2}));
+  mt.last_processed_into(out, 2);  // a narrower live view
+  EXPECT_EQ(out, (std::vector<Seq>{1, 0}));
 }
 
 TEST(MtEntity, OldestWaitingVector) {
@@ -100,7 +104,11 @@ TEST(MtEntity, OldestWaitingVector) {
   mt.submit(chained(1, 5), 1);
   mt.submit(chained(1, 4), 2);
   mt.submit(chained(2, 9), 3);
-  EXPECT_EQ(mt.oldest_waiting_vec(), (std::vector<Seq>{kNoSeq, 4, 9}));
+  std::vector<Seq> out{7, 7};  // stale contents are overwritten
+  mt.oldest_waiting_into(out, 3);
+  EXPECT_EQ(out, (std::vector<Seq>{kNoSeq, 4, 9}));
+  mt.oldest_waiting_into(out, 2);  // a narrower live view
+  EXPECT_EQ(out, (std::vector<Seq>{kNoSeq, 4}));
 }
 
 TEST(MtEntity, ServeRecoveryFromHistory) {
@@ -137,6 +145,22 @@ TEST(MtEntity, CleanPurgesUpToStability) {
   EXPECT_EQ(mt.history_size(), 2u);
   // Processed state unaffected; only the recovery store shrank.
   EXPECT_EQ(mt.prefix(1), 6);
+}
+
+TEST(MtEntity, RepeatedCleaningPointPurgesOnlyNewMessages) {
+  // Decisions re-advertise an unchanged clean_upto for every quiet origin;
+  // clean() skips those, and a message stored after a purge is still
+  // purged once the point moves past it.
+  MtEntity mt(small_config(2), 0, nullptr);
+  for (Seq s = 1; s <= 4; ++s) mt.submit(chained(1, s), s);
+  EXPECT_EQ(mt.clean({kNoSeq, 3}), 3u);
+  EXPECT_EQ(mt.clean({kNoSeq, 3}), 0u);
+  mt.submit(chained(1, 5), 5);
+  EXPECT_EQ(mt.clean({kNoSeq, 3}), 0u);
+  EXPECT_EQ(mt.history_size(), 2u);
+  EXPECT_EQ(mt.clean({kNoSeq, 5}), 2u);
+  EXPECT_EQ(mt.history_size(), 0u);
+  EXPECT_EQ(mt.clean_floor()[1], 5);
 }
 
 TEST(MtEntity, CleanBeyondPrefixAborts) {

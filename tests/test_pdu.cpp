@@ -182,5 +182,29 @@ TEST(PduSize, DecisionGrowsLinearlyInN) {
   EXPECT_NEAR(static_cast<double>(s40) / s20, 2.0, 0.3);
 }
 
+TEST(PduSize, FullFrameSizeIsExact) {
+  // Full control frames reserve full_frame_size() up front; a formula
+  // that drifts from the encoders would silently regrow the buffer.
+  for (const int n : {1, 10, 100, 1000}) {
+    for (const int boundaries : {0, 3}) {
+      Decision d = sample_decision(n);
+      for (int b = 0; b < boundaries; ++b) {
+        d.boundaries.push_back({10 + b, std::vector<Seq>(n, b)});
+      }
+      EXPECT_EQ(full_frame_size(d), encode_pdu(d).size())
+          << "n=" << n << " boundaries=" << boundaries;
+
+      Request rq;
+      rq.subrun = 18;
+      rq.from = 0;
+      rq.last_processed.assign(n, 4);
+      rq.oldest_waiting.assign(n, kNoSeq);
+      rq.prev_decision = d;
+      EXPECT_EQ(full_frame_size(rq), encode_pdu(rq).size())
+          << "n=" << n << " boundaries=" << boundaries;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace urcgc::core
