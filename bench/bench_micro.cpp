@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the urcgc
 // implementation: wire codecs, the delta control plane's digest, anchor
 // cache and delta decode, history operations, in-order processing,
-// waiting-list release, vector clocks, decision computation, and raw
-// simulator throughput.
+// waiting-list park and release, vector clocks, decision computation, and
+// raw simulator throughput.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "causal/vector_clock.hpp"
@@ -246,6 +247,54 @@ void BM_WaitingListChainRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * depth);
 }
 BENCHMARK(BM_WaitingListChainRelease)->Arg(64)->Arg(512);
+
+void BM_WaitingListParkRelease(benchmark::State& state) {
+  // The pipelined steady state: `depth` messages from 10 origins park on
+  // one or two missing predecessors each, then the predecessors arrive and
+  // release them all. One list serves every iteration, and the same
+  // message objects cycle between the list and the release buffer, so the
+  // timing covers parking and releasing only.
+  constexpr ProcessId kOrigins = 10;
+  constexpr Seq kBlockerBase = 1'000'000;
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  causal::WaitingList list;
+  std::vector<causal::PendingMessage> parked(depth);
+  std::vector<Mid> blockers;
+  for (std::size_t i = 0; i < depth; ++i) {
+    const auto origin = static_cast<ProcessId>(i % kOrigins);
+    const Seq seq = static_cast<Seq>(i / kOrigins) + 1;
+    parked[i].mid = {origin, seq};
+    parked[i].deps = {{origin, kBlockerBase + seq},
+                      {(origin + 1) % kOrigins, kBlockerBase + seq}};
+    parked[i].payload.assign(64, 0);
+    blockers.insert(blockers.end(), parked[i].deps.begin(),
+                    parked[i].deps.end());
+  }
+  std::sort(blockers.begin(), blockers.end());
+  blockers.erase(std::unique(blockers.begin(), blockers.end()),
+                 blockers.end());
+  std::vector<causal::PendingMessage> released;
+  released.reserve(depth);
+  for (auto _ : state) {
+    for (causal::PendingMessage& msg : parked) {
+      const Mid missing[2] = {msg.deps[0], msg.deps[1]};
+      const std::size_t count = msg.mid.seq % 2 == 0 ? 2 : 1;
+      list.add(std::move(msg), std::span(missing, count));
+    }
+    for (const Mid& blocker : blockers) list.on_processed(blocker, released);
+    benchmark::DoNotOptimize(released.data());
+    benchmark::ClobberMemory();
+    if (released.size() != depth || !list.empty()) {
+      state.SkipWithError("not every parked message was released");
+      break;
+    }
+    parked.swap(released);
+    released.clear();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(depth));
+}
+BENCHMARK(BM_WaitingListParkRelease)->Arg(16)->Arg(128)->Arg(1024);
 
 void BM_VectorClockDeliverable(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -490,14 +490,14 @@ Options parse(int argc, char** argv) {
       options.quick = true;
     } else if (arg == "--soak") {
       options.soak = true;
-    } else if (const char* v = value("--json=")) {
-      options.json_path = v;
-    } else if (const char* v = value("--backend=")) {
-      options.backend = v;
-    } else if (const char* v = value("--messages=")) {
-      options.messages = std::atoll(v);
-    } else if (const char* v = value("--seed=")) {
-      options.seed = std::strtoull(v, nullptr, 10);
+    } else if (const char* json = value("--json=")) {
+      options.json_path = json;
+    } else if (const char* backend = value("--backend=")) {
+      options.backend = backend;
+    } else if (const char* messages = value("--messages=")) {
+      options.messages = std::atoll(messages);
+    } else if (const char* seed = value("--seed=")) {
+      options.seed = std::strtoull(seed, nullptr, 10);
     } else {
       std::fprintf(stderr,
                    "unknown argument %s\n"

@@ -113,7 +113,8 @@ int main() {
   }
 
   std::printf("fault-injection demo: n=%d, K=%d; p5 crashes, p4 is"
-              " send-dead, 1/60 omissions everywhere\n\n", kN);
+              " send-dead, 1/60 omissions everywhere\n\n",
+              kN, config.k_attempts);
 
   // Offer steady traffic from the healthy members for 30 subruns.
   for (int s = 0; s < 30; ++s) {

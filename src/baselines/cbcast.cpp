@@ -82,7 +82,7 @@ void CbcastProcess::note_heard(ProcessId q) {
   last_heard_[q] = rt_.now();
 }
 
-void CbcastProcess::on_round(RoundId round) {
+void CbcastProcess::on_round(RoundId /*round*/) {
   if (halted_) return;
   if (faults_.is_crashed(self_, rt_.now())) {
     halted_ = true;

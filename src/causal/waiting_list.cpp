@@ -6,96 +6,173 @@
 
 namespace urcgc::causal {
 
+std::uint32_t WaitingList::alloc_slot() {
+  if (free_slot_ == kNil) {
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slot_;
+  free_slot_ = slots_[slot].link;
+  return slot;
+}
+
+std::uint32_t WaitingList::alloc_edge() {
+  if (free_edge_ == kNil) {
+    edges_.emplace_back();
+    return static_cast<std::uint32_t>(edges_.size() - 1);
+  }
+  const std::uint32_t e = free_edge_;
+  free_edge_ = edges_[e].next;
+  return e;
+}
+
+void WaitingList::free_edge(std::uint32_t e) {
+  edges_[e].next = free_edge_;
+  free_edge_ = e;
+}
+
+void WaitingList::free_slot(std::uint32_t slot) {
+  slots_[slot].missing = 0;
+  slots_[slot].link = free_slot_;
+  free_slot_ = slot;
+}
+
 bool WaitingList::add(PendingMessage msg, std::span<const Mid> missing) {
   URCGC_ASSERT_MSG(!missing.empty(), "waiting message with no missing deps");
-  if (entries_.contains(msg.mid)) return false;
-  Entry entry;
-  entry.missing.insert(missing.begin(), missing.end());
-  entry.arrival_order = next_order_++;
+  if (contains(msg.mid)) return false;
   const Mid mid = msg.mid;
-  entry.msg = std::move(msg);
-  for (const Mid& dep : entry.missing) {
-    blocked_on_[dep].insert(mid);
+  const std::uint32_t slot = alloc_slot();
+  slots_[slot].msg = std::move(msg);
+  slots_[slot].link = kNil;
+  std::uint32_t linked = 0;
+  for (const Mid& dep : missing) {
+    std::uint32_t* head = blocked_on_.find(dep);
+    std::uint32_t e = kNil;
+    if (head == nullptr) {
+      e = alloc_edge();
+      edges_[e].prev = e;
+      blocked_on_.insert(dep, e);
+    } else {
+      // This entry's edges are appended last, so a repeated mid in
+      // `missing` finds the entry itself at the tail.
+      const std::uint32_t tail = edges_[*head].prev;
+      if (edges_[tail].waiter == slot) continue;
+      e = alloc_edge();
+      edges_[tail].next = e;
+      edges_[e].prev = tail;
+      edges_[*head].prev = e;
+    }
+    Edge& edge = edges_[e];
+    edge.dep_seq = dep.seq;
+    edge.dep_origin = dep.origin;
+    edge.waiter = slot;
+    edge.next = kNil;
+    edge.sib_prev = kNil;
+    edge.sib_next = slots_[slot].link;
+    if (edge.sib_next != kNil) edges_[edge.sib_next].sib_prev = e;
+    slots_[slot].link = e;
+    ++linked;
   }
-  waiting_by_origin_[mid.origin].insert(mid.seq);
-  entries_.emplace(mid, std::move(entry));
+  slots_[slot].missing = linked;
+  entries_.insert(mid, slot);
   return true;
 }
 
-void WaitingList::erase_entry(const Mid& mid) {
-  auto it = entries_.find(mid);
-  if (it == entries_.end()) return;
-  for (const Mid& dep : it->second.missing) {
-    auto blocked = blocked_on_.find(dep);
-    if (blocked != blocked_on_.end()) {
-      blocked->second.erase(mid);
-      if (blocked->second.empty()) blocked_on_.erase(blocked);
+void WaitingList::unlink_from_waiter(std::uint32_t e) {
+  const Edge& edge = edges_[e];
+  if (edge.sib_prev == kNil) {
+    slots_[edge.waiter].link = edge.sib_next;
+  } else {
+    edges_[edge.sib_prev].sib_next = edge.sib_next;
+  }
+  if (edge.sib_next != kNil) edges_[edge.sib_next].sib_prev = edge.sib_prev;
+}
+
+void WaitingList::unlink_from_dep(std::uint32_t e) {
+  const Edge& edge = edges_[e];
+  const Mid dep{edge.dep_origin, edge.dep_seq};
+  std::uint32_t* head = blocked_on_.find(dep);
+  URCGC_ASSERT(head != nullptr);
+  if (*head == e) {
+    if (edge.next == kNil) {
+      blocked_on_.erase(dep);
+    } else {
+      edges_[edge.next].prev = edge.prev;
+      *head = edge.next;
     }
+    return;
   }
-  auto by_origin = waiting_by_origin_.find(mid.origin);
-  if (by_origin != waiting_by_origin_.end()) {
-    by_origin->second.erase(mid.seq);
-    if (by_origin->second.empty()) waiting_by_origin_.erase(by_origin);
+  edges_[edge.prev].next = edge.next;
+  const std::uint32_t after = edge.next == kNil ? *head : edge.next;
+  edges_[after].prev = edge.prev;
+}
+
+void WaitingList::remove_entry(std::uint32_t slot) {
+  Entry& entry = slots_[slot];
+  for (std::uint32_t e = entry.link; e != kNil;) {
+    const std::uint32_t next = edges_[e].sib_next;
+    unlink_from_dep(e);
+    free_edge(e);
+    e = next;
   }
-  entries_.erase(it);
+  entries_.erase(entry.msg.mid);
+  free_slot(slot);
 }
 
 void WaitingList::on_processed(const Mid& mid,
                                std::vector<PendingMessage>& released) {
-  auto blocked = blocked_on_.find(mid);
-  if (blocked == blocked_on_.end()) return;
+  const std::uint32_t* head = blocked_on_.find(mid);
+  if (head == nullptr) return;
+  std::uint32_t e = *head;
+  blocked_on_.erase(mid);
 
-  // Detach the waiter set (no per-mid copy) so the index stays consistent
-  // while entries mutate. Only the dependents of `mid` are examined — the
-  // stats invariant the wake-path tests pin down.
-  const std::set<Mid> waiters = std::move(blocked->second);
-  blocked_on_.erase(blocked);
-  stats_.wake_checks += waiters.size();
-
+  // Only the dependents of `mid` are examined — the stats invariant the
+  // wake-path tests pin down. The list is in arrival order, and so is
+  // `ready_`.
   ready_.clear();
-  for (const Mid& waiter : waiters) {
-    auto it = entries_.find(waiter);
-    URCGC_ASSERT(it != entries_.end());
-    it->second.missing.erase(mid);
-    if (it->second.missing.empty()) {
-      ready_.push_back({it->second.arrival_order, it});
-    }
-  }
-  // Set iteration already visits waiters in mid order; re-establish arrival
-  // order only when more than one message became satisfied at once.
-  if (ready_.size() > 1) {
-    std::sort(ready_.begin(), ready_.end(),
-              [](const Ready& a, const Ready& b) { return a.order < b.order; });
+  while (e != kNil) {
+    const std::uint32_t next = edges_[e].next;
+    const std::uint32_t waiter = edges_[e].waiter;
+    ++stats_.wake_checks;
+    unlink_from_waiter(e);
+    free_edge(e);
+    if (--slots_[waiter].missing == 0) ready_.push_back(waiter);
+    e = next;
   }
   stats_.releases += ready_.size();
-  for (const Ready& r : ready_) {
-    // Erasing entries invalidates only the erased iterator, so the ones
-    // stashed in `ready_` stay usable — no second hash lookup per release.
-    released.push_back(std::move(r.it->second.msg));
-    const Mid released_mid = r.it->first;
-    auto by_origin = waiting_by_origin_.find(released_mid.origin);
-    if (by_origin != waiting_by_origin_.end()) {
-      by_origin->second.erase(released_mid.seq);
-      if (by_origin->second.empty()) waiting_by_origin_.erase(by_origin);
-    }
-    entries_.erase(r.it);
+  for (const std::uint32_t slot : ready_) {
+    Entry& entry = slots_[slot];
+    entries_.erase(entry.msg.mid);
+    released.push_back(std::move(entry.msg));
+    free_slot(slot);
   }
 }
 
 std::optional<Seq> WaitingList::oldest_waiting(ProcessId origin) const {
-  auto it = waiting_by_origin_.find(origin);
-  if (it == waiting_by_origin_.end() || it->second.empty()) {
-    return std::nullopt;
-  }
-  return *it->second.begin();
+  Seq oldest = kNoSeq;
+  entries_.for_each([&](const Mid& mid, std::uint32_t) {
+    if (mid.origin == origin && (oldest == kNoSeq || mid.seq < oldest)) {
+      oldest = mid.seq;
+    }
+  });
+  if (oldest == kNoSeq) return std::nullopt;
+  return oldest;
+}
+
+void WaitingList::oldest_waiting_into(std::span<Seq> out) const {
+  std::fill(out.begin(), out.end(), kNoSeq);
+  entries_.for_each([&](const Mid& mid, std::uint32_t) {
+    const auto origin = static_cast<std::size_t>(mid.origin);
+    if (mid.origin < 0 || origin >= out.size()) return;
+    if (out[origin] == kNoSeq || mid.seq < out[origin]) out[origin] = mid.seq;
+  });
 }
 
 std::vector<Mid> WaitingList::missing_mids() const {
   std::vector<Mid> result;
   result.reserve(blocked_on_.size());
-  for (const auto& [mid, waiters] : blocked_on_) {
-    result.push_back(mid);
-  }
+  blocked_on_.for_each(
+      [&](const Mid& mid, std::uint32_t) { result.push_back(mid); });
   std::sort(result.begin(), result.end());
   return result;
 }
@@ -106,17 +183,15 @@ std::vector<Mid> WaitingList::discard_depending_on(ProcessId origin,
   // generated by origin with seq >= gap_seq (their self-predecessor chain
   // crosses the gap).
   std::vector<Mid> to_discard;
-  for (const auto& [mid, entry] : entries_) {
-    bool doomed = mid.origin == origin && mid.seq >= gap_seq;
-    if (!doomed) {
-      doomed = std::any_of(entry.msg.deps.begin(), entry.msg.deps.end(),
-                           [&](const Mid& dep) {
-                             return dep.origin == origin &&
-                                    dep.seq >= gap_seq;
-                           });
-    }
+  entries_.for_each([&](const Mid& mid, std::uint32_t slot) {
+    const std::vector<Mid>& deps = slots_[slot].msg.deps;
+    const bool doomed =
+        (mid.origin == origin && mid.seq >= gap_seq) ||
+        std::any_of(deps.begin(), deps.end(), [&](const Mid& dep) {
+          return dep.origin == origin && dep.seq >= gap_seq;
+        });
     if (doomed) to_discard.push_back(mid);
-  }
+  });
 
   // Transitive closure over waiting messages: anything blocked on a doomed
   // message is doomed too.
@@ -124,12 +199,16 @@ std::vector<Mid> WaitingList::discard_depending_on(ProcessId origin,
   while (!to_discard.empty()) {
     const Mid mid = to_discard.back();
     to_discard.pop_back();
-    if (!entries_.contains(mid)) continue;
-    auto blocked = blocked_on_.find(mid);
-    if (blocked != blocked_on_.end()) {
-      for (const Mid& waiter : blocked->second) to_discard.push_back(waiter);
+    const std::uint32_t* slot = entries_.find(mid);
+    if (slot == nullptr) continue;
+    const std::uint32_t doomed = *slot;
+    if (const std::uint32_t* head = blocked_on_.find(mid)) {
+      for (std::uint32_t e = *head; e != kNil; e = edges_[e].next) {
+        to_discard.push_back(slots_[edges_[e].waiter].msg.mid);
+      }
     }
-    erase_entry(mid);
+    remove_entry(doomed);
+    slots_[doomed].msg = PendingMessage{};
     discarded.push_back(mid);
   }
   std::sort(discarded.begin(), discarded.end());
@@ -137,11 +216,11 @@ std::vector<Mid> WaitingList::discard_depending_on(ProcessId origin,
 }
 
 std::optional<PendingMessage> WaitingList::extract(const Mid& mid) {
-  auto it = entries_.find(mid);
-  if (it == entries_.end()) return std::nullopt;
-  PendingMessage msg = std::move(it->second.msg);
-  erase_entry(mid);
-  return msg;
+  const std::uint32_t* slot = entries_.find(mid);
+  if (slot == nullptr) return std::nullopt;
+  const std::uint32_t found = *slot;
+  remove_entry(found);
+  return std::move(slots_[found].msg);
 }
 
 }  // namespace urcgc::causal

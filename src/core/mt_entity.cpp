@@ -1,7 +1,6 @@
 #include "core/mt_entity.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/assert.hpp"
 
@@ -100,10 +99,8 @@ void MtEntity::last_processed_into(std::vector<Seq>& out, int width) const {
 
 void MtEntity::oldest_waiting_into(std::vector<Seq>& out, int width) const {
   URCGC_ASSERT(width <= config_.n);
-  out.assign(static_cast<std::size_t>(width), kNoSeq);
-  for (ProcessId j = 0; j < width; ++j) {
-    if (auto oldest = waiting_.oldest_waiting(j)) out[j] = *oldest;
-  }
+  out.resize(static_cast<std::size_t>(width));
+  waiting_.oldest_waiting_into(out);
 }
 
 RecoverRsp MtEntity::serve_recovery(const RecoverRq& rq) const {
@@ -205,25 +202,21 @@ std::vector<Mid> MtEntity::discard_orphans(ProcessId origin, Seq gap_seq,
 }
 
 std::vector<MtEntity::MissingRange> MtEntity::missing_ranges() const {
-  // Group blocking mids by origin; only spans not already received matter.
-  std::map<ProcessId, std::pair<Seq, Seq>> spans;  // origin -> [min,max]
+  // missing_mids() is sorted by (origin, seq), so each origin's blocking
+  // mids form one run whose first and last entries bound its span. Only
+  // spans of mids not already received matter.
+  std::vector<MissingRange> result;
   for (const Mid& mid : waiting_.missing_mids()) {
     if (waiting_.contains(mid)) continue;  // received, just not processable
-    auto [it, inserted] =
-        spans.emplace(mid.origin, std::pair<Seq, Seq>{mid.seq, mid.seq});
-    if (!inserted) {
-      it->second.first = std::min(it->second.first, mid.seq);
-      it->second.second = std::max(it->second.second, mid.seq);
+    if (!result.empty() && result.back().origin == mid.origin) {
+      result.back().to_seq = mid.seq;
+      continue;
     }
-  }
-  std::vector<MissingRange> result;
-  result.reserve(spans.size());
-  for (const auto& [origin, span] : spans) {
     // Extend down to the first gap after the processed prefix: transitive
     // predecessors we have never seen are missing too even though no
     // waiting entry names them yet.
-    const Seq from = std::min(processed_[origin].first_gap(), span.first);
-    result.push_back({origin, from, span.second});
+    const Seq from = std::min(processed_[mid.origin].first_gap(), mid.seq);
+    result.push_back({mid.origin, from, mid.seq});
   }
   return result;
 }

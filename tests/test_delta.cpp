@@ -621,9 +621,9 @@ struct TappedGroup {
     for (ProcessId p = 0; p < config.n; ++p) {
       auto endpoint = std::make_unique<net::DatagramEndpoint>(network, p);
       if (p == tapped) {
-        auto tap = std::make_unique<TapEndpoint>(std::move(endpoint));
-        this->tap = tap.get();
-        endpoints.push_back(std::move(tap));
+        auto tap_endpoint = std::make_unique<TapEndpoint>(std::move(endpoint));
+        tap = tap_endpoint.get();
+        endpoints.push_back(std::move(tap_endpoint));
       } else {
         endpoints.push_back(std::move(endpoint));
       }

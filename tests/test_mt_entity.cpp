@@ -304,6 +304,74 @@ TEST(MtEntity, InOrderProcessingIsAllocationFreeAfterWarmUp) {
   EXPECT_LE(mt.history_size(), static_cast<std::size_t>(kCleanEvery * kOrigins));
 }
 
+TEST(MtEntity, ParkAndReleaseIsAllocationFreeAfterWarmUp) {
+  // The steady state at pipelining depth k >= 2: messages arrive out of
+  // order, most park in the waiting list on one or two missing
+  // predecessors (their own and a neighbour origin's), and each late
+  // arrival releases a chain. Once the waiting list's pools and indexes
+  // have grown to that working set, parking and releasing allocate
+  // nothing of their own.
+  constexpr int kOrigins = 4;
+  constexpr Seq kWindow = 8;       // seqs per origin submitted newest first
+  constexpr Seq kWarmUp = 400;     // per origin
+  constexpr Seq kMeasured = 2400;  // per origin: 9600 messages in total
+  constexpr Seq kCleanEvery = 48;
+  MtEntity mt(small_config(kOrigins), 0, nullptr);
+  int delivered = 0;
+  mt.set_on_processed([&](const AppMessage&) { ++delivered; });
+  std::vector<Seq> oldest;
+  std::vector<Seq> clean_upto(kOrigins);
+
+  auto run = [&](Seq from, Seq to) {
+    // Build the messages first: their deps/payload vectors are the
+    // decoder's allocations, not the processing path's.
+    std::vector<AppMessage> batch;
+    for (Seq window = from; window <= to; window += kWindow) {
+      for (Seq s = window + kWindow - 1; s >= window; --s) {
+        for (ProcessId p = 0; p < kOrigins; ++p) {
+          std::vector<Mid> extra;
+          if (s > 1) extra.push_back({(p + 1) % kOrigins, s - 1});
+          batch.push_back(chained(p, s, std::move(extra)));
+        }
+      }
+    }
+    std::size_t parked = 0;
+    const std::uint64_t before = testsupport::thread_allocations();
+    for (AppMessage& msg : batch) {
+      const Mid mid = msg.mid;
+      if (mt.submit(std::move(msg), mid.seq) ==
+          MtEntity::SubmitResult::kParked) {
+        ++parked;
+      }
+      if (mid.origin != kOrigins - 1) continue;
+      // What every REQUEST reports, read while the window is parked.
+      mt.oldest_waiting_into(oldest, kOrigins);
+      // (kOrigins - 1, window start) is the last message of its window:
+      // everything below the window's end is processed now.
+      if (mid.seq % kCleanEvery == 1 && mid.seq > kCleanEvery) {
+        std::fill(clean_upto.begin(), clean_upto.end(),
+                  mid.seq - kCleanEvery / 2);
+        mt.clean(clean_upto);
+      }
+    }
+    const std::uint64_t allocations =
+        testsupport::thread_allocations() - before;
+    EXPECT_GT(parked * 4, batch.size() * 3) << "most messages must park";
+    EXPECT_EQ(mt.waiting_size(), 0u);
+    return allocations;
+  };
+
+  (void)run(1, kWarmUp);
+  std::uint64_t allocations = 0;
+  for (Seq from = kWarmUp + 1; from <= kWarmUp + kMeasured; from += 400) {
+    allocations += run(from, from + 399);
+  }
+  const double messages = static_cast<double>(kMeasured * kOrigins);
+  EXPECT_EQ(delivered, static_cast<int>((kWarmUp + kMeasured) * kOrigins));
+  EXPECT_LT(static_cast<double>(allocations) / messages, 0.05)
+      << allocations << " allocations for " << messages << " messages";
+}
+
 TEST(MtEntity, ReentrantSubmitFinishesBeforeOuterReleases) {
   // deliver_ind may call submit(). The nested message, and everything it
   // releases, is processed before the waiters of the message whose

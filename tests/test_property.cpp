@@ -238,7 +238,7 @@ INSTANTIATE_TEST_SUITE_P(
                      core::CausalityMode::kTemporal, false, 0.005, 0.01},
         FeatureParam{"boundaries_on", false, core::GroupStructure::kPeer, 0,
                      core::CausalityMode::kIntermediate, true, 0.005, 0}),
-    [](const auto& info) { return std::string(info.param.name); });
+    [](const auto& p) { return std::string(p.param.name); });
 
 /// Bounded-cleaning property (paper Section 4): under crash-only faults the
 /// group reaches a full-group stability decision within 2K+f subruns of the
@@ -277,11 +277,11 @@ TEST_P(CleaningBound, WithinTwoKPlusF) {
 INSTANTIATE_TEST_SUITE_P(KAndF, CleaningBound,
                          testing::Combine(testing::Values(2, 3, 4),
                                           testing::Values(1, 2, 3)),
-                         [](const auto& info) {
+                         [](const auto& p) {
                            return "K" +
-                                  std::to_string(std::get<0>(info.param)) +
+                                  std::to_string(std::get<0>(p.param)) +
                                   "_f" +
-                                  std::to_string(std::get<1>(info.param));
+                                  std::to_string(std::get<1>(p.param));
                          });
 
 }  // namespace

@@ -7,7 +7,7 @@
 //
 //   urcgc-check --seeds 1000                      # explore on the sim
 //   urcgc-check --seeds 200 --backend=threads
-//   urcgc-check --seeds 500 --mutation=skip-request-merge --shrink \
+//   urcgc-check --seeds 500 --mutation=skip-request-merge --shrink
 //               --repro-out repro.case            # checker self-test
 //   urcgc-check --replay repro.case               # re-run one case
 //

@@ -3,7 +3,7 @@
 // Runs a single urcgc (or baseline) experiment from flags and prints the
 // report; the scripting-friendly face of the harness.
 //
-//   urcgc_sim --n=10 --k=3 --load=0.5 --messages=300 \
+//   urcgc_sim --n=10 --k=3 --load=0.5 --messages=300
 //             --omission=0.002 --crash=7@400 --crash=2@600 --seed=1
 //   urcgc_sim --protocol=cbcast --n=8 --messages=200 --storm=2
 //   urcgc_sim --n=40 --messages=480 --threshold=320 --csv
