@@ -5,9 +5,9 @@
 // throughput, delivery-delay percentiles and the wire-buffer accounting
 // (allocations and bytes physically copied per delivered message). Every
 // run uses the zero-copy fan-out and, on the threaded and socket backends,
-// the SPSC-ring mailboxes, so each row's `payload_mode` is "shared" and its
-// `mailboxes` is "spsc" ("none" on the simulator); the fields stay in the
-// schema-version-1 document.
+// the round-parity mailboxes, so each row's `payload_mode` is "shared" and
+// its `mailboxes` is "round" ("none" on the simulator); the fields stay in
+// the schema-version-1 document.
 //
 // Output: a human-readable table on stdout and, with --json=FILE, the
 // BENCH_throughput.json document whose schema PERFORMANCE.md documents
@@ -214,7 +214,7 @@ void write_json(const Options& options,
     std::fprintf(f, "      \"payload_mode\": \"shared\",\n");
     std::fprintf(f, "      \"pipeline_k\": %d,\n", r.pipeline_k);
     std::fprintf(f, "      \"mailboxes\": \"%s\",\n",
-                 r.backend == "sim" ? "none" : "spsc");
+                 r.backend == "sim" ? "none" : "round");
     std::fprintf(f, "      \"round_us\": %lld,\n",
                  static_cast<long long>(r.round_us));
     std::fprintf(f, "      \"n\": %d,\n", r.n);

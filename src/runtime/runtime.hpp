@@ -43,7 +43,13 @@ class Runtime {
 
   /// Schedules fn `delay` ticks from now on the execution context of
   /// process `owner` (kNoProcess = the host/driver context). All state fn
-  /// touches must belong to `owner`.
+  /// touches must belong to `owner`. Only the runtime's own execution
+  /// contexts (a task or round handler of any owner) and the driver thread
+  /// (the caller of run_until*, or the thread assembling the group before
+  /// the first run) may post, and the driver only between rounds — from a
+  /// host task or handler, or outside run_until*. Backends with real
+  /// concurrency have no lock on their mailboxes and abort on a post from
+  /// any other thread while the workers run.
   virtual void post(ProcessId owner, Tick delay, EventFn fn) = 0;
 
   /// Convenience: schedule on the host/driver context.

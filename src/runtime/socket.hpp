@@ -4,8 +4,8 @@
 //
 // Layering: SocketRuntime derives from ThreadedRuntime and keeps its whole
 // execution model (one thread per process, driver-paced rounds against
-// RoundClock/steady_clock, SPSC-ring mailboxes for local timers and driver
-// posts). What changes is the subnet: the runtime implements
+// RoundClock/steady_clock, round-parity mailboxes for local timers and
+// driver posts). What changes is the subnet: the runtime implements
 // rt::DatagramSubnet, so net::Network hands it serialized frames instead
 // of posting delivery closures. Every fault and latency draw stays inside
 // Network on the sender side — the socket layer only moves bytes — which

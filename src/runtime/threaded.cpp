@@ -8,12 +8,13 @@
 namespace urcgc::rt {
 
 namespace {
-// Producer identity for the lock-free post path: worker threads register
-// themselves on entry to worker_loop. A thread that is not a worker of
-// *this* runtime (the driver, tests, workers of another runtime) takes the
-// mutex spill path — that keeps every ring strictly single-producer.
-thread_local const void* t_ring_owner = nullptr;
-thread_local int t_ring_producer = -1;
+// Identity of the calling thread: workers register themselves in
+// worker_loop and record the round they are executing, which picks the
+// parity buffer their posts go to. A thread that is not a worker of *this*
+// runtime (the driver, workers of another runtime) sees -1.
+thread_local const void* t_owner = nullptr;
+thread_local int t_worker = -1;
+thread_local RoundId t_round = 0;
 }  // namespace
 
 ThreadedRuntime::ThreadedRuntime(ThreadedConfig config)
@@ -25,20 +26,11 @@ ThreadedRuntime::ThreadedRuntime(ThreadedConfig config)
     m_release_lag_ = config_.metrics->histogram(
         "runtime.release_lag_us", obs::HistogramSpec{0.0, 500.0, 25});
     m_discarded_ = config_.metrics->counter("runtime.mailbox_discarded");
-    m_ring_overflow_ =
-        config_.metrics->counter("runtime.mailbox_ring_overflow");
   }
   mailboxes_.reserve(static_cast<std::size_t>(config_.n) + 1);
-  const auto n = static_cast<std::size_t>(config_.n);
   for (int i = 0; i <= config_.n; ++i) {
     auto mailbox = std::make_unique<Mailbox>();
-    mailbox->rings.reserve(n);
-    for (int p = 0; p < config_.n; ++p) {
-      mailbox->rings.push_back(std::make_unique<SpscRing<Task>>(kRingCapacity));
-    }
-    mailbox->producer_seq.assign(n, 0);
-    mailbox->seen_upto.assign(n, 0);
-    mailbox->ooo.resize(n);
+    for (auto& by_worker : mailbox->rounds) by_worker.resize(config_.n);
     mailboxes_.push_back(std::move(mailbox));
   }
   threads_.reserve(config_.n);
@@ -66,23 +58,15 @@ void ThreadedRuntime::shutdown() {
   // belongs to a round that never opened.
   std::uint64_t discarded = 0;
   for (auto& mailbox : mailboxes_) {
-    discarded += mailbox->spill.size() + mailbox->pending.size();
-    for (auto& ring : mailbox->rings) {
-      Task task;
-      while (ring->try_pop(task)) ++discarded;
+    discarded += mailbox->host.size() + mailbox->pending.size();
+    for (auto& by_worker : mailbox->rounds) {
+      for (auto& tasks : by_worker) discarded += tasks.size();
     }
   }
   discarded += discard_external();
   discarded_on_shutdown_ = discarded;
-  if (config_.metrics != nullptr) {
-    if (discarded > 0) {
-      config_.metrics->add(kNoProcess, m_discarded_, discarded);
-    }
-    const std::uint64_t overflows =
-        ring_overflows_.load(std::memory_order_relaxed);
-    if (overflows > 0) {
-      config_.metrics->add(kNoProcess, m_ring_overflow_, overflows);
-    }
+  if (config_.metrics != nullptr && discarded > 0) {
+    config_.metrics->add(kNoProcess, m_discarded_, discarded);
   }
 }
 
@@ -92,53 +76,31 @@ void ThreadedRuntime::post(ProcessId owner, Tick delay, EventFn fn) {
   const int idx = owner == kNoProcess ? config_.n : owner;
   Task task{now() + delay, post_order_.fetch_add(1, std::memory_order_relaxed),
             std::move(fn)};
-  if (t_ring_owner == this) {
-    Mailbox& mailbox = *mailboxes_[idx];
-    // Stamp the channel sequence before attempting the push: whether this
-    // task lands in the ring or spills, the consumer can tell whether any
-    // channel predecessor is still uncollected and hold it back (drain
-    // would otherwise execute a spilled task ahead of ring-resident
-    // predecessors it has not seen yet — a per-channel FIFO violation).
-    task.producer = t_ring_producer;
-    task.seq =
-        ++mailbox.producer_seq[static_cast<std::size_t>(t_ring_producer)];
-    auto& ring = *mailbox.rings[t_ring_producer];
-    if (ring.try_push(std::move(task))) return;
-    // Ring full: spill to the mutex path below; the counter records that
-    // the capacity was undersized for this burst.
-    ring_overflows_.fetch_add(1, std::memory_order_relaxed);
+  Mailbox& mailbox = *mailboxes_[idx];
+  const int worker = current_worker();
+  if (worker == idx) {
+    mailbox.pending.push_back(std::move(task));
+  } else if (worker >= 0) {
+    mailbox.rounds[t_round & 1][static_cast<std::size_t>(worker)].push_back(
+        std::move(task));
+  } else {
+    // `host` has no lock: the barrier is what keeps the driver's writes
+    // apart from the consumers' reads.
+    URCGC_ASSERT_MSG(!workers_running_.load(std::memory_order_relaxed),
+                     "threaded backend: post from a thread that is neither a "
+                     "worker nor the driver between rounds");
+    mailbox.host.push_back(std::move(task));
   }
-  std::lock_guard<std::mutex> lk(mailboxes_[idx]->mu);
-  mailboxes_[idx]->spill.push_back(std::move(task));
 }
 
 int ThreadedRuntime::current_worker() const {
-  return t_ring_owner == this ? t_ring_producer : -1;
+  return t_owner == this ? t_worker : -1;
 }
 
 void ThreadedRuntime::enqueue_local(int idx, Tick due, EventFn fn) {
   Task task{due, post_order_.fetch_add(1, std::memory_order_relaxed),
             std::move(fn)};
   mailboxes_[idx]->pending.push_back(std::move(task));
-}
-
-void ThreadedRuntime::note_collected(Mailbox& mailbox, const Task& task) {
-  if (task.producer < 0) return;
-  const auto p = static_cast<std::size_t>(task.producer);
-  std::uint64_t& upto = mailbox.seen_upto[p];
-  auto& ooo = mailbox.ooo[p];
-  if (task.seq == upto + 1) {
-    ++upto;
-    // Absorb buffered successors that became contiguous.
-    std::size_t eat = 0;
-    while (eat < ooo.size() && ooo[eat] == upto + 1) {
-      ++upto;
-      ++eat;
-    }
-    if (eat > 0) ooo.erase(ooo.begin(), ooo.begin() + static_cast<long>(eat));
-  } else {
-    ooo.insert(std::lower_bound(ooo.begin(), ooo.end(), task.seq), task.seq);
-  }
 }
 
 void ThreadedRuntime::on_round(ProcessId owner, RoundHandler handler) {
@@ -158,58 +120,40 @@ void ThreadedRuntime::on_round(ProcessId owner, RoundHandler handler) {
   mailboxes_[idx]->handlers.push_back(std::move(handler));
 }
 
+void ThreadedRuntime::collect(int idx, RoundId r) {
+  Mailbox& mailbox = *mailboxes_[idx];
+  auto take = [&mailbox](std::vector<Task>& tasks) {
+    for (Task& task : tasks) mailbox.pending.push_back(std::move(task));
+    tasks.clear();
+  };
+  // Round r-1's parity; producers are writing round r's parity right now.
+  for (auto& tasks : mailbox.rounds[(r + 1) & 1]) take(tasks);
+  take(mailbox.host);
+}
+
 void ThreadedRuntime::drain(int idx, Tick cutoff) {
   Mailbox& mailbox = *mailboxes_[idx];
   collect_external(idx, cutoff);
-  // Coalesce: pull everything the producers published, then the spill,
-  // into the consumer-private pending list. Rings are FIFO per producer
-  // but task due-times are not monotone (a transport retry outlives the
-  // round), so due/not-yet-due is decided on the merged list.
-  for (auto& ring : mailbox.rings) {
-    Task task;
-    while (ring->try_pop(task)) {
-      note_collected(mailbox, task);
-      mailbox.pending.push_back(std::move(task));
-    }
-  }
-  if (config_.test_between_ring_and_spill) {
-    config_.test_between_ring_and_spill(idx, cutoff);
-  }
-  {
-    std::lock_guard<std::mutex> lk(mailbox.mu);
-    if (!mailbox.spill.empty()) {
-      for (Task& task : mailbox.spill) {
-        note_collected(mailbox, task);
-        mailbox.pending.push_back(std::move(task));
-      }
-      mailbox.spill.clear();
-    }
-  }
-  // A task executes only once it is due AND its channel prefix is fully
-  // collected: a spilled task whose ring-resident predecessors were pushed
-  // after our ring pass (ring-then-spill race) is held in pending; the next
-  // drain collects the predecessors and releases it in post order.
-  auto split = std::stable_partition(
+  // Due-times are not monotone in post order (a transport retry outlives
+  // the round), so due/not-yet-due is decided on the whole pending list;
+  // the sort below fixes the execution order, post order breaking ties.
+  auto split = std::partition(
       mailbox.pending.begin(), mailbox.pending.end(),
-      [cutoff, &mailbox](const Task& t) {
-        if (t.due > cutoff) return true;  // keep: not yet due
-        return t.producer >= 0 &&
-               t.seq >
-                   mailbox.seen_upto[static_cast<std::size_t>(t.producer)];
-      });
-  std::vector<Task> due;
-  due.assign(std::make_move_iterator(split),
-             std::make_move_iterator(mailbox.pending.end()));
+      [cutoff](const Task& t) { return t.due > cutoff; });
+  mailbox.due.assign(std::make_move_iterator(split),
+                     std::make_move_iterator(mailbox.pending.end()));
   mailbox.pending.erase(split, mailbox.pending.end());
-  std::stable_sort(due.begin(), due.end(), [](const Task& a, const Task& b) {
-    return a.due != b.due ? a.due < b.due : a.order < b.order;
-  });
-  for (Task& task : due) task.fn();
+  std::sort(mailbox.due.begin(), mailbox.due.end(),
+            [](const Task& a, const Task& b) {
+              return a.due != b.due ? a.due < b.due : a.order < b.order;
+            });
+  for (Task& task : mailbox.due) task.fn();
+  mailbox.due.clear();
 }
 
 void ThreadedRuntime::worker_loop(int idx) {
-  t_ring_owner = this;
-  t_ring_producer = idx;
+  t_owner = this;
+  t_worker = idx;
   RoundId done_round = -1;
   for (;;) {
     RoundId r;
@@ -219,16 +163,19 @@ void ThreadedRuntime::worker_loop(int idx) {
       if (stop_) break;
       r = open_round_;
     }
+    t_round = r;
     const Tick start = clock_.round_start(r);
     // Datagrams due by this boundary first, then the round logic: the
     // coordinator must see the requests of the previous round before it
     // computes the decision, exactly as in the simulator.
+    collect(idx, r);
     drain(idx, start);
     // By index: a drained task (or a handler) may register a new handler
     // for this context mid-iteration, growing the vector.
     auto& handlers = mailboxes_[idx]->handlers;
     for (std::size_t h = 0; h < handlers.size(); ++h) handlers[h](r);
-    // Catch zero-delay posts made by our own handlers.
+    // Catch zero-delay posts made by our own handlers. Only pending: the
+    // current parity is still being written by the other workers.
     drain(idx, start);
     // Publish buffered output (e.g. a socket tx batch) before parking, so
     // every other context's next round sees this round's sends.
@@ -240,8 +187,8 @@ void ThreadedRuntime::worker_loop(int idx) {
     }
     cv_done_.notify_one();
   }
-  t_ring_owner = nullptr;
-  t_ring_producer = -1;
+  t_owner = nullptr;
+  t_worker = -1;
 }
 
 Tick ThreadedRuntime::run_rounds(Tick limit,
@@ -276,6 +223,7 @@ Tick ThreadedRuntime::run_rounds(Tick limit,
     if (predicate != nullptr && r > 0 && (*predicate)()) {
       return now();
     }
+    collect(config_.n, r);
     drain(config_.n, start);
     auto& host_handlers = mailboxes_[config_.n]->handlers;
     for (std::size_t h = 0; h < host_handlers.size(); ++h) {
@@ -286,6 +234,7 @@ Tick ThreadedRuntime::run_rounds(Tick limit,
     flush_external(config_.n);
     {
       std::lock_guard<std::mutex> lk(barrier_mu_);
+      workers_running_.store(true, std::memory_order_relaxed);
       open_round_ = r;
       done_count_ = 0;
     }
@@ -293,6 +242,7 @@ Tick ThreadedRuntime::run_rounds(Tick limit,
     {
       std::unique_lock<std::mutex> lk(barrier_mu_);
       cv_done_.wait(lk, [&] { return done_count_ == config_.n; });
+      workers_running_.store(false, std::memory_order_relaxed);
     }
     if (config_.metrics != nullptr) {
       config_.metrics->add(kNoProcess, m_rounds_);

@@ -7,20 +7,22 @@
 // std::chrono::steady_clock: round r opens no earlier than
 // epoch + round_start(r) * tick_duration.
 //
-// Mailbox structure: each consumer context owns one fixed-capacity
-// (kRingCapacity) SPSC ring per worker producer, so the hot path — a
-// worker posting a datagram into another worker's mailbox — is a single
-// lock-free push. The consumer coalesces
-// all of its rings into a private pending list once per round, then
-// executes the due tasks in (due, post-order) order; not-yet-due tasks
-// (e.g. transport retries) stay in the pending list, which only the
-// consumer touches. Posts from threads that are not workers (the driver's
-// workload submissions, tests) and pushes that find a ring full overflow
-// into the mutex-guarded spill vector. Worker posts carry a per-
-// (producer,consumer) channel sequence number so an overflow cannot be
-// executed ahead of ring-resident predecessors the consumer has not
-// collected yet — the drain holds a task back until its channel prefix is
-// complete, preserving per-channel FIFO.
+// Mailbox structure: the round barrier already orders everything one
+// round writes before everything the next round reads, so the mailboxes
+// need no lock, ring or sequence number. Each consumer context owns, per
+// worker producer, one task vector for even rounds and one for odd
+// rounds. Worker p, executing round r, appends a post for another context
+// to that context's rounds[r & 1][p]; the consumer's first drain of round
+// r+1 moves rounds[r & 1] into its private pending list. Producers of
+// round r+1 write the other parity, and the next write to rounds[r & 1]
+// comes in round r+2, after the consumer has parked — so every buffer has
+// exactly one writer or one reader at a time and each (producer, consumer)
+// channel stays FIFO. A post to the caller's own context goes straight
+// into pending, so a zero-delay task to self still runs in the same round;
+// a post from the driver thread goes to the consumer's `host` vector,
+// which the driver writes only while the workers are parked. The consumer
+// then executes the due tasks in (due, post-order) order; not-yet-due
+// tasks (e.g. transport retries) stay in pending.
 //
 // Execution model per round r (driver thread = the caller of run_until*):
 //   1. driver waits for the steady-clock round boundary, advances now()
@@ -33,11 +35,11 @@
 //      datagrams due by this boundary, then runs its round handlers
 //      (request/decision logic, which posts into other mailboxes), then
 //      parks again.
-// A datagram posted during round r with latency shorter than a round is
-// due before round r+1 opens, so the receiver processes it before its
-// r+1 handler — the same "a message sent in a round arrives before the
-// next boundary" guarantee the simulator provides, now with real
-// concurrency between the barriers.
+// A datagram posted during round r is collected by its receiver at the
+// first drain of round r+1 and runs then (or later, if not due yet), so
+// the receiver processes it before its r+1 handler — the same "a message
+// sent in a round arrives before the next boundary" guarantee the
+// simulator provides, now with real concurrency between the barriers.
 //
 // Shutdown: shutdown() (also run by the destructor) stops and joins every
 // worker; pending mailbox tasks are never executed, but they are counted —
@@ -45,6 +47,7 @@
 // attached, the count lands in the host-shard `runtime.mailbox_discarded`
 // counter, so silent shutdown loss is visible.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -58,7 +61,6 @@
 #include "common/types.hpp"
 #include "obs/registry.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/spsc_ring.hpp"
 
 namespace urcgc::rt {
 
@@ -75,22 +77,10 @@ struct ThreadedConfig {
   /// target) on the host shard — driver-context only, per the registry's
   /// thread-safety contract.
   obs::Registry* metrics = nullptr;
-  /// Test-only: invoked by the consumer of context `idx` inside drain, in
-  /// the window after the ring pass and before the spill merge — the spot
-  /// where a concurrent producer can fill its ring and overflow into the
-  /// spill, making the consumer observe a later task before its
-  /// predecessors. Lets tests force that interleaving deterministically.
-  std::function<void(int idx, Tick cutoff)> test_between_ring_and_spill{};
 };
 
 class ThreadedRuntime : public Runtime {
  public:
-  /// Capacity of each SPSC ring. A worker posts a handful of tasks per
-  /// destination per round (datagram copies, retries), so a small ring
-  /// absorbs the hot path; overflow falls back to the mutex spill vector,
-  /// counted in `runtime.mailbox_ring_overflow`.
-  static constexpr std::size_t kRingCapacity = 16;
-
   explicit ThreadedRuntime(ThreadedConfig config);
   ~ThreadedRuntime() override;
 
@@ -126,11 +116,10 @@ class ThreadedRuntime : public Runtime {
   [[nodiscard]] std::uint64_t discarded_on_shutdown() const {
     return discarded_on_shutdown_;
   }
-  /// Lock-free posts that found their ring full and spilled to the mutex
-  /// path (diagnostics; approximate while workers run).
-  [[nodiscard]] std::uint64_t ring_overflows() const {
-    return ring_overflows_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: round-parity mailboxes are unbounded vectors and cannot
+  /// overflow. Kept so readers of the former ring-overflow diagnostic
+  /// still build.
+  [[nodiscard]] std::uint64_t ring_overflows() const { return 0; }
 
  protected:
   // --- Extension points for derived runtimes (e.g. SocketRuntime) -------
@@ -173,46 +162,33 @@ class ThreadedRuntime : public Runtime {
     Tick due = 0;
     std::uint64_t order = 0;  // global post order: stable tie-break
     EventFn fn;
-    // Per-(producer, consumer) channel identity: worker `producer` stamped
-    // this task with channel sequence `seq` (1-based, contiguous per
-    // channel). -1 = posted under the mailbox mutex by a non-worker
-    // (driver, tests) — the spill vector is FIFO and collected whole, so
-    // those need no gap tracking.
-    int producer = -1;
-    std::uint64_t seq = 0;
   };
 
   /// One mailbox per execution context; index n is the driver context.
-  /// The mutex guards `spill` only — `handlers` is written before the
-  /// first round or, mid-run, only from this context's own thread (see
-  /// on_round), so the iterating thread is the mutating thread;
-  /// `rings[i]` is SPSC between
-  /// worker i (producer) and this context's thread (consumer); `pending`,
-  /// `seen_upto` and `ooo` are touched only by the consumer;
-  /// `producer_seq[i]` is written only by worker i.
+  /// `handlers` is written before the first round or, mid-run, only from
+  /// this context's own thread (see on_round), so the iterating thread is
+  /// the mutating thread. `rounds[parity][p]` is written by worker p during
+  /// rounds of that parity and read by this context's thread in the next
+  /// round; `host` is written by the driver thread between rounds; `pending`
+  /// and `due` belong to this context's thread alone.
   struct Mailbox {
-    std::mutex mu;
-    std::vector<Task> spill;
     std::vector<RoundHandler> handlers;
-    std::vector<std::unique_ptr<SpscRing<Task>>> rings;  // [worker producer]
+    std::array<std::vector<std::vector<Task>>, 2> rounds;  // [parity][worker]
+    std::vector<Task> host;
     std::vector<Task> pending;  // consumer-owned carry-over
-    // Channel sequence numbers (all sized n):
-    std::vector<std::uint64_t> producer_seq;  // last seq stamped, per worker
-    std::vector<std::uint64_t> seen_upto;     // collected prefix, per worker
-    std::vector<std::vector<std::uint64_t>> ooo;  // collected beyond a gap
+    std::vector<Task> due;      // consumer-owned drain scratch
   };
 
   void worker_loop(int idx);
-  /// Extracts and executes every task of context `idx` due at or before
-  /// `cutoff`, in (due, post-order) order. Runs the tasks outside the
-  /// mailbox lock so they may post into other mailboxes. Must only be
-  /// called from the context's consumer thread. A task whose channel
-  /// predecessors have not been collected yet (ring/spill race, see
-  /// Task::seq) is held back until they have.
+  /// Moves the posts that became visible at the opening of round `r` —
+  /// those made by workers in round r-1, and the driver's — into context
+  /// `idx`'s pending list. Called once per round, before the first drain,
+  /// on the context's consumer thread.
+  void collect(int idx, RoundId r);
+  /// Executes every pending task of context `idx` due at or before
+  /// `cutoff`, in (due, post-order) order; the tasks may post into any
+  /// mailbox. Must only be called from the context's consumer thread.
   void drain(int idx, Tick cutoff);
-  /// Advances the consumer-side collected-prefix tracking for `task`'s
-  /// channel. Consumer thread only.
-  static void note_collected(Mailbox& mailbox, const Task& task);
   Tick run_rounds(Tick limit, const std::function<bool()>* predicate);
 
   ThreadedConfig config_;
@@ -222,7 +198,9 @@ class ThreadedRuntime : public Runtime {
 
   std::atomic<Tick> now_{0};
   std::atomic<std::uint64_t> post_order_{0};
-  std::atomic<std::uint64_t> ring_overflows_{0};
+  // True while the barrier is open: set and cleared by the driver around
+  // each round, read by post() to reject posts from foreign threads.
+  std::atomic<bool> workers_running_{false};
 
   // Round-barrier state, guarded by barrier_mu_.
   std::mutex barrier_mu_;
@@ -245,7 +223,6 @@ class ThreadedRuntime : public Runtime {
   obs::Metric m_rounds_{};
   obs::Metric m_release_lag_{};
   obs::Metric m_discarded_{};
-  obs::Metric m_ring_overflow_{};
 };
 
 }  // namespace urcgc::rt

@@ -207,7 +207,7 @@ TEST(Pipeline, DepthFourDeliversEagerlyAndFinishesSooner) {
 }
 
 TEST(Pipeline, ThreadedMailboxesCarryDepthFour) {
-  // The SPSC-ring mailboxes must carry the pipelined workload to the
+  // The round-parity mailboxes must carry the pipelined workload to the
   // expected totals with every clause green (CI also runs this under TSan).
   auto config = pipelined_config(4, 33);
   config.backend = harness::Backend::kThreads;

@@ -127,9 +127,10 @@ TEST(ThreadedRuntime, CrossContextPostsAllArrive) {
   rt.run_until(99);  // 10 rounds; round 9's posts are still in flight
   int total = 0;
   for (int count : received) total += count;
-  // Every post from rounds 0..8 must have been consumed: 9 rounds x n x
-  // (n-1) messages.
-  EXPECT_GE(total, 9 * kN * (kN - 1));
+  // A cross-context post of round r is collected at the first drain of
+  // round r+1, never earlier: exactly the posts of rounds 0..8 ran, 9
+  // rounds x n x (n-1) messages.
+  EXPECT_EQ(total, 9 * kN * (kN - 1));
 }
 
 TEST(ThreadedRuntime, ShutdownIsIdempotent) {
@@ -146,60 +147,75 @@ TEST(ThreadedRuntime, ShutdownCountsUndrainedTasks) {
   // Regression for the mailbox lifecycle contract: tasks still pending
   // when shutdown() joins the workers are discarded, never executed, and
   // the loss is visible through discarded_on_shutdown() and the
-  // `runtime.mailbox_discarded` counter.
+  // `runtime.mailbox_discarded` counter. The count covers every place a
+  // task can wait: a pending list, a worker's round buffer and the
+  // driver's `host` buffer.
   obs::Registry registry(2);
   ThreadedConfig config = free_running(2);
   config.metrics = &registry;
   ThreadedRuntime rt(config);
-  rt.on_round(0, [](RoundId) {});
-  rt.run_until(19);
-  // Due ticks far past the horizon: these tasks can never drain.
   bool ran = false;
+  // Due far past the horizon: collected into pending at round 0, never due.
   for (int i = 0; i < 3; ++i) {
     rt.post(1, /*delay=*/100'000, [&ran] { ran = true; });
   }
+  // Posted in round 1, the last round run: never collected.
+  rt.on_round(0, [&rt, &ran](RoundId r) {
+    if (r == 1) rt.post(1, /*delay=*/0, [&ran] { ran = true; });
+  });
+  rt.run_until(19);  // rounds 0 and 1
+  // Posted by the driver after the last round: left in `host`.
+  rt.post(1, /*delay=*/0, [&ran] { ran = true; });
   EXPECT_EQ(rt.discarded_on_shutdown(), 0u) << "before shutdown";
   rt.shutdown();
   EXPECT_FALSE(ran);
-  EXPECT_EQ(rt.discarded_on_shutdown(), 3u);
+  EXPECT_EQ(rt.discarded_on_shutdown(), 5u);
   const obs::Metric m = registry.find("runtime.mailbox_discarded");
-  EXPECT_EQ(registry.counter_total(m), 3u);
+  EXPECT_EQ(registry.counter_total(m), 5u);
 }
 
-TEST(ThreadedRuntime, RingOverflowPreservesPerChannelFifo) {
-  // Regression: a consumer that had finished its ring pass could pick up a
-  // spilled task and execute it while the task's ring-resident
-  // predecessors — pushed concurrently, after the pass — sat uncollected
-  // until the next drain, so later-posted work from one producer ran ahead
-  // of earlier-posted work. The drain now holds a task back until its
-  // channel prefix is collected. Force the exact interleaving with the
-  // test hook: park consumer 1 between its ring pass and its spill merge,
-  // have worker 0 fill the ring and overflow one more task, then let the
-  // consumer proceed.
-  constexpr int kBurst = static_cast<int>(ThreadedRuntime::kRingCapacity) + 1;
-  ThreadedConfig config = free_running(2);
-  std::atomic<int> stage{0};
-  config.test_between_ring_and_spill = [&stage](int idx, Tick cutoff) {
-    if (idx != 1 || cutoff != 30) return;  // context 1, round 3 only
-    int expected = 0;
-    if (!stage.compare_exchange_strong(expected, 1)) return;  // fire once
-    while (stage.load() != 2) std::this_thread::yield();
-  };
-  ThreadedRuntime rt(config);
-  std::vector<int> log;  // appended to only by context 1's tasks
-  rt.on_round(0, [&rt, &log, &stage](RoundId r) {
+TEST(ThreadedRuntime, WorkerBurstKeepsPerChannelFifo) {
+  // A burst far larger than anything a round normally carries: one worker
+  // posts 1000 zero-delay tasks to another in round 3. All of them are
+  // collected together at the consumer's first drain of round 4 (tick 40)
+  // and run in post order.
+  constexpr int kBurst = 1000;
+  ThreadedRuntime rt(free_running(2));
+  std::vector<int> log;        // appended to only by context 1's tasks
+  std::vector<Tick> ran_at;    // likewise
+  rt.on_round(0, [&rt, &log, &ran_at](RoundId r) {
     if (r != 3) return;
-    while (stage.load() != 1) std::this_thread::yield();
     for (int i = 1; i <= kBurst; ++i) {
-      rt.post(1, /*delay=*/0, [&log, i] { log.push_back(i); });
+      rt.post(1, /*delay=*/0, [&rt, &log, &ran_at, i] {
+        log.push_back(i);
+        ran_at.push_back(rt.now());
+      });
     }
-    stage.store(2);
   });
   rt.run_until(49);
-  EXPECT_GE(rt.ring_overflows(), 1u) << "burst did not overflow the ring";
   std::vector<int> expected(kBurst);
   std::iota(expected.begin(), expected.end(), 1);
   EXPECT_EQ(log, expected);
+  EXPECT_EQ(ran_at, std::vector<Tick>(kBurst, 40));
+}
+
+TEST(ThreadedRuntime, ForeignThreadPostWhileWorkersRunDies) {
+  // The mailboxes have no lock: the barrier is what separates writers
+  // from readers, so only this runtime's workers and the driver (between
+  // rounds) may post. A thread that is neither, posting while the workers
+  // run, must fail loudly rather than race.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadedRuntime rt(free_running(2));
+        rt.on_round(0, [&rt](RoundId r) {
+          if (r != 1) return;
+          std::thread foreign([&rt] { rt.post(1, 0, [] {}); });
+          foreign.join();
+        });
+        rt.run_until(29);
+      },
+      "neither a worker nor the driver");
 }
 
 TEST(ThreadedRuntime, WallClockPacingRespectsTickDuration) {
