@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the urcgc
 // implementation: wire codecs, the delta control plane's digest, anchor
-// cache and delta decode, history operations, in-order processing,
+// cache, delta decode and apply, REQUEST_DELTA encode and decode, history
+// operations, in-order processing,
 // waiting-list park and release, vector clocks, decision computation, and
 // raw simulator throughput.
 
@@ -123,6 +124,103 @@ void BM_DecodeDecisionDelta(benchmark::State& state) {
   state.SetLabel(std::to_string(frame.size()) + " bytes");
 }
 BENCHMARK(BM_DecodeDecisionDelta)->Arg(10)->Arg(100)->Arg(1000);
+
+// A member applying a received DECISION_DELTA whose anchor is its own
+// latest decision: decode into a reused scratch with the patch recorded,
+// then patch the member's copy in place (the digest and the ring commit
+// are BM_DecisionDigest's and BM_DecisionCacheInsert's).
+void BM_ApplyDecisionDelta(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  const core::Decision anchor = populated_decision(n, 17);
+  core::Decision d = anchor;
+  d.decided_at = 18;
+  d.coordinator = 18 % n;
+  d.max_processed[0] += 3;
+  d.stable_acc[n / 2] += 1;
+  d.attempts[n - 1] = 1;
+  core::Config config;
+  config.n = n;
+  config.control_encoding = core::ControlEncoding::kDelta;
+  const auto frame = core::encode_decision_pdu(d, anchor, config);
+  core::DecisionCache cache(8);
+  cache.insert(anchor);
+  core::Decision scratch;
+  core::DecisionPatch patch;
+  core::Decision latest = anchor;
+  for (auto _ : state) {
+    core::DecodeContext ctx;
+    ctx.cache = &cache;
+    benchmark::DoNotOptimize(
+        core::decode_decision_frame(frame, &ctx, scratch, &patch));
+    core::apply_patch(latest, scratch, patch);  // idempotent once applied
+    benchmark::DoNotOptimize(latest.decided_at);
+  }
+}
+BENCHMARK(BM_ApplyDecisionDelta)->Arg(10)->Arg(100)->Arg(1000);
+
+// The REQUEST_DELTA a coordinator receives from a member whose embed it
+// already holds: anchor lookup, the two report sections, and the embed
+// decoded as a stub.
+void BM_DecodeRequestDelta(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  core::Request rq;
+  rq.subrun = 19;
+  rq.from = 1;
+  rq.prev_decision = populated_decision(n, 18);
+  rq.last_processed = rq.prev_decision.max_processed;
+  rq.last_processed[1] += 2;
+  rq.last_processed[n / 2] += 1;
+  rq.oldest_waiting.assign(static_cast<std::size_t>(n), kNoSeq);
+  rq.oldest_waiting[n - 1] = 7;
+  core::Config config;
+  config.n = n;
+  config.control_encoding = core::ControlEncoding::kDelta;
+  const auto frame = core::encode_request_pdu(rq, config);
+  core::DecisionCache cache(8);
+  cache.insert(rq.prev_decision);
+  core::Decision scratch;
+  for (auto _ : state) {
+    core::DecodeContext ctx;
+    ctx.cache = &cache;
+    ctx.stub_embeds_upto = rq.prev_decision.decided_at;
+    ctx.scratch = &scratch;
+    benchmark::DoNotOptimize(core::decode_pdu(frame, &ctx));
+  }
+  state.SetLabel(std::to_string(frame.size()) + " bytes");
+}
+BENCHMARK(BM_DecodeRequestDelta)->Arg(10)->Arg(100)->Arg(1000);
+
+// A member's request round under delta encoding: the report built from
+// the origins its entity tracks (three that processed past the anchor,
+// one with a parked message) and written as a REQUEST_DELTA.
+void BM_EncodeRequestDelta(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  core::Config config;
+  config.n = n;
+  config.control_encoding = core::ControlEncoding::kDelta;
+  core::MtEntity mt(config, 0, nullptr);
+  for (const ProcessId origin : {1, n / 2, n - 1}) {
+    core::AppMessage msg;
+    msg.mid = {origin, 1};
+    (void)mt.submit(std::move(msg), 0);
+  }
+  core::AppMessage parked;
+  parked.mid = {2, 2};
+  parked.deps = {{2, 1}};
+  (void)mt.submit(std::move(parked), 0);
+  const core::Decision anchor = core::Decision::initial(n);
+  std::vector<wire::SeqOverride> processed;
+  std::vector<wire::SeqOverride> waiting;
+  for (auto _ : state) {
+    mt.report_overrides(anchor.max_processed, processed, waiting);
+    wire::Writer w(64);
+    w.u8(static_cast<std::uint8_t>(core::PduType::kRequestDelta));
+    core::encode_request_delta_body(w, 19, 0, 18, 0x1234, processed,
+                                    waiting);
+    benchmark::DoNotOptimize(std::move(w).take());
+  }
+}
+BENCHMARK(BM_EncodeRequestDelta)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_EncodeAppMessage(benchmark::State& state) {
   core::AppMessage msg;

@@ -8,20 +8,38 @@
 
 namespace urcgc::core {
 
-void DecisionCache::insert(const Decision& d) {
-  if (capacity_ == 0 || d.decided_at < 0) return;
-  if (find_equal(d) != nullptr) return;
+std::uint64_t DecisionCache::insert(const Decision& d) {
+  if (capacity_ == 0 || d.decided_at < 0) return decision_digest(d);
+  if (const Entry* e = find_equal(d)) return e->digest;
   const std::uint64_t digest = decision_digest(d);
   if (entries_.size() < capacity_) {
     // Sized on first use: a process under full encoding never inserts.
     if (entries_.empty()) entries_.reserve(capacity_);
     entries_.push_back(Entry{digest, d});
-    return;
+    return digest;
   }
   Entry& slot = entries_[oldest_];
   slot.digest = digest;
   slot.decision = d;
   oldest_ = (oldest_ + 1) % capacity_;
+  return digest;
+}
+
+DecisionCache::Stored DecisionCache::commit(Decision& d) {
+  if (capacity_ == 0 || d.decided_at < 0) return {&d, decision_digest(d)};
+  if (const Entry* e = find_equal(d)) return {&e->decision, e->digest};
+  const std::uint64_t digest = decision_digest(d);
+  if (entries_.size() < capacity_) {
+    if (entries_.empty()) entries_.reserve(capacity_);
+    entries_.push_back(Entry{digest, std::move(d)});
+    d = Decision{};
+    return {&entries_.back().decision, digest};
+  }
+  Entry& slot = entries_[oldest_];
+  slot.digest = digest;
+  std::swap(slot.decision, d);
+  oldest_ = (oldest_ + 1) % capacity_;
+  return {&slot.decision, digest};
 }
 
 const Decision* DecisionCache::find(SubrunId decided_at,
@@ -143,9 +161,43 @@ void encode_decision_delta_body(wire::Writer& w, const Decision& d,
   }
 }
 
+void apply_patch(Decision& target, const Decision& d,
+                 const DecisionPatch& patch) {
+  URCGC_ASSERT(patch.delta && target.n() == d.n());
+  using P = DecisionPatch;
+  target.decided_at = d.decided_at;
+  target.coordinator = d.coordinator;
+  target.full_group = d.full_group;
+  target.stability_epoch = d.stability_epoch;
+  const auto copy = [&](auto member, P::Section section) {
+    auto& to = target.*member;
+    const auto& from = d.*member;
+    for (const std::uint16_t i : patch.of(section)) to[i] = from[i];
+  };
+  copy(&Decision::clean_upto, P::kCleanUpto);
+  copy(&Decision::stable_acc, P::kStableAcc);
+  copy(&Decision::heard, P::kHeard);
+  copy(&Decision::max_processed, P::kMaxProcessed);
+  copy(&Decision::most_updated, P::kMostUpdated);
+  copy(&Decision::min_waiting, P::kMinWaiting);
+  copy(&Decision::attempts, P::kAttempts);
+  copy(&Decision::alive, P::kAlive);
+  // The boundary window moves exactly as the decoder moved its copy of
+  // the anchor; only the appended boundaries carry new contents.
+  auto& window = target.boundaries;
+  std::rotate(window.begin(),
+              window.begin() + static_cast<std::ptrdiff_t>(patch.drop),
+              window.end());
+  window.resize(d.boundaries.size());
+  for (std::size_t i = window.size() - patch.append; i < window.size(); ++i) {
+    window[i] = d.boundaries[i];
+  }
+}
+
 Status<wire::DecodeError> decode_decision_delta_body(wire::Reader& r,
                                                      DecodeContext& ctx,
-                                                     Decision& out) {
+                                                     Decision& out,
+                                                     DecisionPatch* patch) {
   auto anchor_subrun = r.i64();
   if (!anchor_subrun) return Unexpected(anchor_subrun.error());
   auto anchor_digest = r.u64();
@@ -164,6 +216,22 @@ Status<wire::DecodeError> decode_decision_delta_body(wire::Reader& r,
   // From here on only `out` is read: the anchor pointer is not held past
   // this copy.
   out = *anchor;
+  // Each section appends its indexes to patch->indexes and closes its
+  // range in patch->starts.
+  std::vector<std::uint16_t>* const indexes =
+      patch != nullptr ? &patch->indexes : nullptr;
+  const auto touched = [patch, indexes](DecisionPatch::Section section) {
+    if (patch != nullptr) {
+      patch->starts[section] = static_cast<std::uint32_t>(indexes->size());
+    }
+    return indexes;
+  };
+  if (patch != nullptr) {
+    patch->delta = true;
+    patch->anchor_at = anchor_subrun.value();
+    patch->anchor_digest = anchor_digest.value();
+    patch->indexes.clear();
+  }
 
   auto decided_at = r.i64();
   if (!decided_at) return Unexpected(decided_at.error());
@@ -183,14 +251,48 @@ Status<wire::DecodeError> decode_decision_delta_body(wire::Reader& r,
   }
   out.full_group = (flags.value() & kFlagFullGroup) != 0;
 
-  if (auto st = wire::patch_sparse_seqs(r, out.clean_upto); !st) return st;
-  if (auto st = wire::patch_sparse_seqs(r, out.stable_acc); !st) return st;
-  if (auto st = wire::patch_sparse_flips(r, out.heard); !st) return st;
-  if (auto st = wire::patch_sparse_seqs(r, out.max_processed); !st) return st;
-  if (auto st = wire::patch_sparse_pids(r, out.most_updated); !st) return st;
-  if (auto st = wire::patch_sparse_seqs(r, out.min_waiting); !st) return st;
-  if (auto st = wire::patch_sparse_u8s(r, out.attempts); !st) return st;
-  if (auto st = wire::patch_sparse_flips(r, out.alive); !st) return st;
+  using P = DecisionPatch;
+  if (auto st = wire::patch_sparse_seqs(r, out.clean_upto,
+                                        touched(P::kCleanUpto));
+      !st) {
+    return st;
+  }
+  if (auto st = wire::patch_sparse_seqs(r, out.stable_acc,
+                                        touched(P::kStableAcc));
+      !st) {
+    return st;
+  }
+  if (auto st = wire::patch_sparse_flips(r, out.heard, touched(P::kHeard));
+      !st) {
+    return st;
+  }
+  if (auto st = wire::patch_sparse_seqs(r, out.max_processed,
+                                        touched(P::kMaxProcessed));
+      !st) {
+    return st;
+  }
+  if (auto st = wire::patch_sparse_pids(r, out.most_updated,
+                                        touched(P::kMostUpdated));
+      !st) {
+    return st;
+  }
+  if (auto st = wire::patch_sparse_seqs(r, out.min_waiting,
+                                        touched(P::kMinWaiting));
+      !st) {
+    return st;
+  }
+  if (auto st = wire::patch_sparse_u8s(r, out.attempts, touched(P::kAttempts));
+      !st) {
+    return st;
+  }
+  if (auto st = wire::patch_sparse_flips(r, out.alive, touched(P::kAlive));
+      !st) {
+    return st;
+  }
+  if (patch != nullptr) {
+    patch->starts[P::kSections] =
+        static_cast<std::uint32_t>(patch->indexes.size());
+  }
   auto epoch = r.i64();
   if (!epoch) return Unexpected(epoch.error());
   out.stability_epoch = epoch.value();
@@ -205,6 +307,10 @@ Status<wire::DecodeError> decode_decision_delta_body(wire::Reader& r,
   const std::size_t kept = out.boundaries.size() - drop.value();
   if (kept + append.value() > Decision::kBoundaryWindow) {
     return Unexpected(wire::DecodeError::kBadValue);
+  }
+  if (patch != nullptr) {
+    patch->drop = drop.value();
+    patch->append = append.value();
   }
   // Rotate the dropped boundaries to the back, where the appended ones
   // are read into them and reuse their buffers.
@@ -227,10 +333,15 @@ Status<wire::DecodeError> decode_decision_delta_body(wire::Reader& r,
 }
 
 bool request_delta_eligible(const Request& rq, const Config& config) {
-  if (!common_delta_eligible(rq.prev_decision.decided_at, rq.subrun,
-                             rq.prev_decision.n(), config) ||
-      rq.last_processed.size() != rq.prev_decision.max_processed.size() ||
-      rq.oldest_waiting.size() != rq.last_processed.size()) {
+  return rq.last_processed.size() == rq.prev_decision.max_processed.size() &&
+         rq.oldest_waiting.size() == rq.last_processed.size() &&
+         request_delta_eligible(rq.prev_decision.decided_at, rq.subrun,
+                                rq.prev_decision.n(), config);
+}
+
+bool request_delta_eligible(SubrunId anchor_decided_at, SubrunId subrun,
+                            int n, const Config& config) {
+  if (!common_delta_eligible(anchor_decided_at, subrun, n, config)) {
     return false;
   }
   // A sender lagging the subrun it reports into by more than the pipeline
@@ -239,26 +350,43 @@ bool request_delta_eligible(const Request& rq, const Config& config) {
   // whole request (one spurious attempt charged against the sender). The
   // full frame both survives the eviction and shows the coordinator the
   // stale embed, prompting the full-snapshot decision that resyncs us.
-  if (rq.subrun - rq.prev_decision.decided_at >
-      static_cast<SubrunId>(config.max_subruns_in_flight) + 1) {
-    return false;
-  }
-  return true;
+  return subrun - anchor_decided_at <=
+         static_cast<SubrunId>(config.max_subruns_in_flight) + 1;
 }
+
+namespace {
+
+void put_request_delta_head(wire::Writer& w, SubrunId subrun, ProcessId from,
+                            SubrunId anchor_decided_at,
+                            std::uint64_t anchor_digest) {
+  w.i64(subrun);
+  w.u16(from == kNoProcess ? kNoProcessWire : static_cast<std::uint16_t>(from));
+  w.i64(anchor_decided_at);
+  w.u64(anchor_digest);
+}
+
+}  // namespace
 
 void encode_request_delta_body(wire::Writer& w, const Request& rq,
                                std::uint64_t anchor_digest) {
   const Decision& anchor = rq.prev_decision;
-  w.i64(rq.subrun);
-  w.u16(rq.from == kNoProcess ? kNoProcessWire
-                              : static_cast<std::uint16_t>(rq.from));
-  w.i64(anchor.decided_at);
-  w.u64(anchor_digest);
+  put_request_delta_head(w, rq.subrun, rq.from, anchor.decided_at,
+                         anchor_digest);
   // The sender's processed prefixes track the group maximum the anchor
   // advertises except where traffic moved since — overrides stay O(active
   // senders), not O(n).
   wire::put_sparse_seqs(w, rq.last_processed, anchor.max_processed);
   wire::put_sparse_seqs(w, rq.oldest_waiting, kNoSeq);
+}
+
+void encode_request_delta_body(wire::Writer& w, SubrunId subrun,
+                               ProcessId from, SubrunId anchor_decided_at,
+                               std::uint64_t anchor_digest,
+                               std::span<const wire::SeqOverride> processed,
+                               std::span<const wire::SeqOverride> waiting) {
+  put_request_delta_head(w, subrun, from, anchor_decided_at, anchor_digest);
+  wire::put_seq_overrides(w, processed);
+  wire::put_seq_overrides(w, waiting);
 }
 
 Result<Request, wire::DecodeError> decode_request_delta_body(
@@ -288,7 +416,12 @@ Result<Request, wire::DecodeError> decode_request_delta_body(
     ctx.anchor_missed = true;
     return Unexpected(wire::DecodeError::kBadValue);
   }
-  rq.prev_decision = *anchor;
+  if (ctx.stub_embeds_upto.has_value() &&
+      anchor->decided_at <= *ctx.stub_embeds_upto) {
+    rq.prev_decision.decided_at = anchor->decided_at;
+  } else {
+    rq.prev_decision = *anchor;
+  }
   rq.last_processed = anchor->max_processed;
   if (auto st = wire::patch_sparse_seqs(r, rq.last_processed); !st) {
     return Unexpected(st.error());

@@ -13,7 +13,10 @@ MtEntity::MtEntity(const Config& config, ProcessId self, Observer* observer)
       history_(config.n),
       processed_(config.n),
       clean_floor_(config.n, kNoSeq),
-      purged_upto_(config.n, kNoSeq) {}
+      purged_upto_(config.n, kNoSeq),
+      report_dirty_((static_cast<std::size_t>(config.n) + 63) / 64) {
+  mark_report_dirty_all();
+}
 
 bool MtEntity::processed(const Mid& mid) const {
   if (!mid.valid()) return true;  // "no message" is trivially processed
@@ -43,6 +46,7 @@ MtEntity::SubmitResult MtEntity::submit(AppMessage msg, Tick now) {
                                    msg.generated_at, now,
                                    std::move(msg.payload)};
     waiting_.add(std::move(pending), missing_);
+    mark_report_dirty(msg.mid.origin);
     waiting_peak_ = std::max(waiting_peak_, waiting_.size());
     return SubmitResult::kParked;
   }
@@ -66,6 +70,7 @@ void MtEntity::process_now(AppMessage msg, Tick now) {
     URCGC_ASSERT(stored != nullptr);
     history_peak_ = std::max(history_peak_, history_.total_size());
     processed_[mid.origin].insert(mid.seq);
+    mark_report_dirty(mid.origin);
     log_.push_back(mid);
     if (observer_ != nullptr) observer_->on_processed(self_, *stored, now);
     if (on_processed_) on_processed_(*stored);
@@ -103,6 +108,35 @@ void MtEntity::oldest_waiting_into(std::vector<Seq>& out, int width) const {
   waiting_.oldest_waiting_into(out);
 }
 
+void MtEntity::mark_report_dirty_all() {
+  std::fill(report_dirty_.begin(), report_dirty_.end(), ~std::uint64_t{0});
+}
+
+void MtEntity::report_overrides(const std::vector<Seq>& baseline,
+                                std::vector<wire::SeqOverride>& processed,
+                                std::vector<wire::SeqOverride>& waiting) {
+  const int width = static_cast<int>(baseline.size());
+  URCGC_ASSERT(width <= config_.n);
+  processed.clear();
+  waiting.clear();
+  const bool parked = !waiting_.empty();
+  if (parked) {
+    oldest_scratch_.resize(baseline.size());
+    waiting_.oldest_waiting_into(oldest_scratch_);
+  }
+  for_each_report_dirty(width, [&](ProcessId j) {
+    const auto at = static_cast<std::size_t>(j);
+    const Seq prefix = processed_[at].prefix();
+    const Seq oldest = parked ? oldest_scratch_[at] : kNoSeq;
+    const auto index = static_cast<std::uint16_t>(j);
+    if (prefix != baseline[at]) processed.push_back({index, prefix});
+    if (oldest != kNoSeq) waiting.push_back({index, oldest});
+    if (prefix == baseline[at] && oldest == kNoSeq) {
+      report_dirty_[at / 64] &= ~(std::uint64_t{1} << (at % 64));
+    }
+  });
+}
+
 RecoverRsp MtEntity::serve_recovery(const RecoverRq& rq) const {
   RecoverRsp rsp;
   rsp.from = self_;
@@ -125,23 +159,37 @@ std::size_t MtEntity::clean(const std::vector<Seq>& clean_upto) {
   std::size_t purged = 0;
   const int width = static_cast<int>(clean_upto.size());
   for (ProcessId j = 0; j < width; ++j) {
-    if (clean_upto[j] == kNoSeq) continue;
-    Seq upto = clean_upto[j];
-    // Cleaning a message we have not processed would violate the stability
-    // invariant (our own report bounds the group minimum). When a deliberate
-    // protocol mutation is active the faulty decision must survive as an
-    // observable trace violation for the checker, so clamp instead of abort.
-    if (config_.mutation != ProtocolMutation::kNone) {
-      upto = std::min(upto, processed_[j].prefix());
-    } else {
-      URCGC_ASSERT_MSG(upto <= processed_[j].prefix(),
-                       "cleaning point beyond local processed prefix");
-    }
-    if (upto <= purged_upto_[j]) continue;  // nothing moved since last time
-    purged += history_.purge_upto(j, upto);
-    purged_upto_[j] = upto;
-    clean_floor_[j] = std::max(clean_floor_[j], upto);
+    purged += clean_origin(j, clean_upto[j]);
   }
+  return purged;
+}
+
+std::size_t MtEntity::clean(const std::vector<Seq>& clean_upto,
+                            std::span<const std::uint16_t> origins) {
+  URCGC_ASSERT(static_cast<int>(clean_upto.size()) <= config_.n);
+  std::size_t purged = 0;
+  for (const std::uint16_t j : origins) {
+    purged += clean_origin(j, clean_upto[j]);
+  }
+  return purged;
+}
+
+std::size_t MtEntity::clean_origin(ProcessId j, Seq upto) {
+  if (upto == kNoSeq) return 0;
+  // Cleaning a message we have not processed would violate the stability
+  // invariant (our own report bounds the group minimum). When a deliberate
+  // protocol mutation is active the faulty decision must survive as an
+  // observable trace violation for the checker, so clamp instead of abort.
+  if (config_.mutation != ProtocolMutation::kNone) {
+    upto = std::min(upto, processed_[j].prefix());
+  } else {
+    URCGC_ASSERT_MSG(upto <= processed_[j].prefix(),
+                     "cleaning point beyond local processed prefix");
+  }
+  if (upto <= purged_upto_[j]) return 0;  // nothing moved since last time
+  const std::size_t purged = history_.purge_upto(j, upto);
+  purged_upto_[j] = upto;
+  clean_floor_[j] = std::max(clean_floor_[j], upto);
   return purged;
 }
 
@@ -159,6 +207,7 @@ std::size_t MtEntity::adopt_baseline(const std::vector<Seq>& baseline,
     clean_floor_[j] = std::max(clean_floor_[j], baseline[j]);
   }
   if (adopted == 0) return 0;
+  mark_report_dirty_all();
 
   // Parked copies the baseline now covers are duplicates: sweep them before
   // a release could route them through process_now a second time.

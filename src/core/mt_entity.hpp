@@ -8,6 +8,8 @@
 // split mirrors the paper's protocol architecture and keeps everything here
 // unit-testable without a simulator.
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "core/message.hpp"
 #include "core/observer.hpp"
 #include "core/pdu.hpp"
+#include "wire/sparse.hpp"
 
 namespace urcgc::core {
 
@@ -70,6 +73,48 @@ class MtEntity {
   /// where nothing waits.
   void oldest_waiting_into(std::vector<Seq>& out, int width) const;
 
+  /// REQUEST report tracking. The report a member sends each subrun is
+  /// its processed prefix per origin, as overrides against the applied
+  /// decision's max_processed, plus the oldest waiting seq where anything
+  /// waits. This entity keeps the set of origins whose report entries may
+  /// differ from that baseline: every origin whose prefix moved or that
+  /// parked a message, plus those the caller marks when the baseline
+  /// changes. The set is a superset; report_overrides() prunes the origins
+  /// it finds back in step, so building a report costs O(changed).
+  void mark_report_dirty(ProcessId origin) {
+    report_dirty_[static_cast<std::size_t>(origin) / 64] |=
+        std::uint64_t{1} << (static_cast<std::size_t>(origin) % 64);
+  }
+  void mark_report_dirty_all();
+
+  /// The sparse report against `baseline` (the applied decision's
+  /// max_processed; its width is the live view): `processed` receives
+  /// (j, prefix(j)) wherever the prefix differs from baseline[j], and
+  /// `waiting` (j, oldest waiting seq) wherever a message of origin j
+  /// waits, both in index order — the sections encode_request_delta_body
+  /// writes for last_processed_into/oldest_waiting_into at that width.
+  void report_overrides(const std::vector<Seq>& baseline,
+                        std::vector<wire::SeqOverride>& processed,
+                        std::vector<wire::SeqOverride>& waiting);
+
+  /// Calls fn(j) in ascending order for every origin j < width whose
+  /// report entry may differ from the baseline: no other origin's prefix
+  /// can differ from the baseline's max_processed.
+  template <typename Fn>
+  void for_each_report_dirty(int width, Fn fn) const {
+    const auto limit = static_cast<std::size_t>(width);
+    for (std::size_t w = 0; w * 64 < limit; ++w) {
+      std::uint64_t bits = report_dirty_[w];
+      while (bits != 0) {
+        const std::size_t j =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (j >= limit) return;
+        bits &= bits - 1;
+        fn(static_cast<ProcessId>(j));
+      }
+    }
+  }
+
   /// Serves a peer's recovery request from the local history.
   [[nodiscard]] RecoverRsp serve_recovery(const RecoverRq& rq) const;
 
@@ -78,6 +123,10 @@ class MtEntity {
   /// not yet grown to capacity); origins past its width are untouched.
   /// Returns messages purged.
   std::size_t clean(const std::vector<Seq>& clean_upto);
+  /// The same, for the listed origins only: when every other entry equals
+  /// a cleaning point already applied, the result is clean()'s.
+  std::size_t clean(const std::vector<Seq>& clean_upto,
+                    std::span<const std::uint16_t> origins);
 
   /// Snapshot catch-up (DESIGN.md section 12): adopts a serving member's
   /// per-origin clean floor as this member's processed prefix. Everything
@@ -138,6 +187,8 @@ class MtEntity {
 
  private:
   void process_now(AppMessage msg, Tick now);
+  /// clean() for one origin.
+  std::size_t clean_origin(ProcessId j, Seq upto);
 
   Config config_;
   ProcessId self_;
@@ -160,6 +211,10 @@ class MtEntity {
   /// bounded that purge, so a cleaning point at or below it has nothing
   /// left to purge and clean() skips the origin.
   std::vector<Seq> purged_upto_;
+  /// Report tracking: one bit per origin (see mark_report_dirty), and
+  /// the scratch report_overrides() reads oldest waiting seqs into.
+  std::vector<std::uint64_t> report_dirty_;
+  std::vector<Seq> oldest_scratch_;
   std::vector<Mid> log_;  // local processing order, for validation
   std::uint64_t duplicates_ = 0;
   std::uint64_t waiting_rejected_ = 0;

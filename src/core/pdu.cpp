@@ -293,17 +293,21 @@ bool is_decision_frame(std::span<const std::uint8_t> bytes) {
 }
 
 Status<wire::DecodeError> decode_decision_frame(
-    std::span<const std::uint8_t> bytes, DecodeContext* ctx, Decision& out) {
+    std::span<const std::uint8_t> bytes, DecodeContext* ctx, Decision& out,
+    DecisionPatch* patch) {
   if (!is_decision_frame(bytes)) {
     return Unexpected(wire::DecodeError::kBadValue);
   }
   wire::Reader r(bytes.subspan(1));
   if (bytes[0] == static_cast<std::uint8_t>(PduType::kDecision)) {
+    if (patch != nullptr) patch->delta = false;
     if (auto st = decode_decision_body(r, out); !st) return st;
   } else {
     DecodeContext fallback;
     DecodeContext& c = ctx != nullptr ? *ctx : fallback;
-    if (auto st = decode_decision_delta_body(r, c, out); !st) return st;
+    if (auto st = decode_decision_delta_body(r, c, out, patch); !st) {
+      return st;
+    }
   }
   return r.finish();
 }
@@ -342,6 +346,23 @@ Result<Pdu, wire::DecodeError> decode_pdu(
       auto oldest_waiting = wire::get_seqs32(r);
       if (!oldest_waiting) return Unexpected(oldest_waiting.error());
       rq.oldest_waiting = std::move(oldest_waiting).value();
+      // The embed's decided_at leads its body: peek it to choose between
+      // a stub (validated in scratch) and a full copy.
+      wire::Reader peek = r;
+      const auto embedded_at = peek.i64();
+      if (embedded_at && ctx != nullptr &&
+          ctx->stub_embeds_upto.has_value() &&
+          embedded_at.value() <= *ctx->stub_embeds_upto) {
+        Decision local;
+        Decision& body = ctx->scratch != nullptr ? *ctx->scratch : local;
+        if (auto st = decode_decision_body(r, body); !st) {
+          return Unexpected(st.error());
+        }
+        if (auto fin = r.finish(); !fin) return Unexpected(fin.error());
+        if (ctx->cache != nullptr) ctx->cache->commit(body);
+        rq.prev_decision.decided_at = embedded_at.value();
+        return Pdu{std::move(rq)};
+      }
       if (auto st = decode_decision_body(r, rq.prev_decision); !st) {
         return Unexpected(st.error());
       }

@@ -254,20 +254,26 @@ struct DecodeContext;  // delta.hpp: anchor cache + anchor-miss signal
 /// Decodes any PDU frame. `ctx` supplies the receiver's DecisionCache for
 /// delta frames and receives decoded decisions for future anchoring; with
 /// ctx == nullptr (or a null cache) every delta frame reports an anchor
-/// miss. Full frames never need a context.
+/// miss. Full frames never need a context. REQUEST embeds no fresher than
+/// ctx->stub_embeds_upto come back as stubs (only decided_at set); a
+/// stubbed frame is accepted or rejected exactly as a full decode would.
 [[nodiscard]] Result<Pdu, wire::DecodeError> decode_pdu(
     std::span<const std::uint8_t> bytes, DecodeContext* ctx = nullptr);
 
 /// True when `bytes` is a DECISION or DECISION_DELTA frame.
 [[nodiscard]] bool is_decision_frame(std::span<const std::uint8_t> bytes);
 
+struct DecisionPatch;  // delta.hpp: what a delta frame changed
+
 /// Decodes a DECISION or DECISION_DELTA frame into `out`, a caller-owned
 /// scratch: a delta is the anchor assigned into `out` and patched in
-/// place, so a reused scratch keeps its vectors' capacity. Unlike
-/// decode_pdu it inserts nothing into ctx->cache — the caller commits
-/// `out` once this succeeds. On error `out` holds a partial decode and
-/// must not be used.
+/// place, so a reused scratch keeps its vectors' capacity. `patch`, when
+/// non-null, receives what a delta changed against its anchor (and
+/// delta = false for a full frame). Unlike decode_pdu it inserts nothing
+/// into ctx->cache — the caller commits `out` once this succeeds. On error
+/// `out` holds a partial decode and must not be used.
 [[nodiscard]] Status<wire::DecodeError> decode_decision_frame(
-    std::span<const std::uint8_t> bytes, DecodeContext* ctx, Decision& out);
+    std::span<const std::uint8_t> bytes, DecodeContext* ctx, Decision& out,
+    DecisionPatch* patch = nullptr);
 
 }  // namespace urcgc::core

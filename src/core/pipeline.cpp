@@ -37,7 +37,7 @@ SubrunPipeline::Window* SubrunPipeline::find(SubrunId subrun) {
   return nullptr;
 }
 
-void SubrunPipeline::open_window(SubrunId subrun) {
+void SubrunPipeline::open_window(SubrunId subrun, std::size_t expected) {
   if (find(subrun) != nullptr) return;
   // Evict windows outside the depth-k span (anything <= subrun - k): their
   // subrun's decision round is long past, so the parked requests can never
@@ -46,6 +46,8 @@ void SubrunPipeline::open_window(SubrunId subrun) {
   std::erase_if(windows_,
                 [oldest](const Window& w) { return w.subrun <= oldest; });
   windows_.push_back(Window{subrun, {}});
+  if (inbox_cap_ > 0) expected = std::min(expected, inbox_cap_);
+  windows_.back().requests.reserve(expected);
   std::sort(windows_.begin(), windows_.end(),
             [](const Window& a, const Window& b) {
               return a.subrun < b.subrun;

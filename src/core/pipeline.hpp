@@ -76,8 +76,10 @@ class SubrunPipeline {
 
   /// Opens the collection window for `subrun` (idempotent) and evicts
   /// windows that fell out of the depth-k span — their parked requests
-  /// are discarded, exactly like the seed's inbox reset.
-  void open_window(SubrunId subrun);
+  /// are discarded, exactly like the seed's inbox reset. `expected` sizes
+  /// a new window up front (capped at inbox_cap), so a coordinator's
+  /// window takes the whole group's requests without reallocating.
+  void open_window(SubrunId subrun, std::size_t expected = 0);
 
   /// Files `rq` into its subrun's window, if one is open.
   [[nodiscard]] Admit admit(Request&& rq);

@@ -212,7 +212,10 @@ void UrcgcProcess::request_round(SubrunId subrun) {
   // Open the collection window for the subrun we are entering; windows
   // that fell out of the k-deep span are evicted — stale requests from a
   // closed subrun must not leak into a younger decision.
-  pipeline_.open_window(subrun);
+  pipeline_.open_window(
+      subrun, coordinator_of(subrun) == self_
+                  ? static_cast<std::size_t>(latest_.n())
+                  : std::size_t{0});
 
   issue_recoveries(subrun);
   if (halted_) return;  // recovery exhaustion may have made us leave
@@ -342,28 +345,47 @@ std::vector<Mid> UrcgcProcess::build_deps(std::vector<Mid> user_deps,
 void UrcgcProcess::send_request(SubrunId subrun) {
   const ProcessId coordinator = coordinator_of(subrun);
   if (coordinator == kNoProcess) return;
-  Request rq;
-  rq.subrun = subrun;
-  rq.from = self_;
   // Report vectors travel at the live view's width (they widen with it):
   // origins past the view are unknown to the group's agreement and their
   // parked traffic resurfaces once a decision admits them.
-  mt_.last_processed_into(rq.last_processed, latest_.n());
-  mt_.oldest_waiting_into(rq.oldest_waiting, latest_.n());
-
+  const int width = latest_.n();
   if (coordinator == self_) {
-    rq.prev_decision = latest_;
-    handle_request(std::move(rq));  // no network hop to oneself
+    // No network hop to oneself. The embed is latest_ itself, which can
+    // never become the base, so it goes in as a stub.
+    Request rq;
+    rq.subrun = subrun;
+    rq.from = self_;
+    mt_.last_processed_into(rq.last_processed, width);
+    mt_.oldest_waiting_into(rq.oldest_waiting, width);
+    rq.prev_decision.decided_at = latest_.decided_at;
+    handle_request(std::move(rq));
     return;
   }
-  // The embed is latest_: lend it to the request for the encode (a swap,
-  // not a copy — encoding reads only the request and the cache).
-  std::swap(rq.prev_decision, latest_);
-  bool was_delta = false;
-  std::vector<std::uint8_t> frame =
-      encode_request_pdu(rq, config_, &was_delta, &cache_);
-  std::swap(rq.prev_decision, latest_);
-  account_control(was_delta, frame.size(), 1);
+  std::vector<std::uint8_t> frame;
+  const bool delta =
+      request_delta_eligible(latest_.decided_at, subrun, width, config_);
+  if (delta) {
+    // O(changed): only origins the entity tracks as off the anchor's
+    // max_processed, or with parked messages, are visited.
+    mt_.report_overrides(latest_.max_processed, tx_processed_, tx_waiting_);
+    wire::Writer w(64);
+    w.u8(static_cast<std::uint8_t>(PduType::kRequestDelta));
+    encode_request_delta_body(w, subrun, self_, latest_.decided_at,
+                              latest_digest_, tx_processed_, tx_waiting_);
+    frame = std::move(w).take();
+  } else {
+    Request rq;
+    rq.subrun = subrun;
+    rq.from = self_;
+    mt_.last_processed_into(rq.last_processed, width);
+    mt_.oldest_waiting_into(rq.oldest_waiting, width);
+    // The embed is latest_: lend it to the request for the encode (a
+    // swap, not a copy).
+    std::swap(rq.prev_decision, latest_);
+    frame = encode_pdu(rq);
+    std::swap(rq.prev_decision, latest_);
+  }
+  account_control(delta, frame.size(), 1);
   send_pdu(coordinator, std::move(frame), stats::MsgClass::kRequest);
 }
 
@@ -393,7 +415,9 @@ void UrcgcProcess::act_as_coordinator(SubrunId subrun) {
 
   // Freshest decision circulating: our own copy or one embedded in a
   // request (resilience t=(n-1)/2 guarantees at least one fresh copy).
-  std::vector<const Decision*> candidates{&latest_};
+  std::vector<const Decision*> candidates;
+  candidates.reserve(inbox.size() + 1);
+  candidates.push_back(&latest_);
   for (const Request& rq : inbox) {
     candidates.push_back(&rq.prev_decision);
   }
@@ -467,18 +491,45 @@ void UrcgcProcess::act_as_coordinator(SubrunId subrun) {
   broadcast_pdu(std::move(frame), stats::MsgClass::kDecision);
   // Anchor window: received decisions are cached when they decode; our
   // own computed decision joins it here.
-  if (config_.control_encoding == ControlEncoding::kDelta) cache_.insert(d);
-  apply_decision(d);
+  std::uint64_t digest = 0;
+  if (config_.control_encoding == ControlEncoding::kDelta) {
+    digest = cache_.insert(d);
+  }
+  apply_decision(d, digest, nullptr);
 }
 
-void UrcgcProcess::apply_decision(const Decision& d) {
+void UrcgcProcess::apply_decision(const Decision& d, std::uint64_t digest,
+                                  const DecisionPatch* patch) {
   if (d.decided_at <= latest_.decided_at) return;  // stale or duplicate
   // Views only ever widen along the decision chain; a fresher-numbered but
   // narrower decision is a pre-join-era fork (a healed zombie deciding on
   // its stale view) and adopting it would un-admit a member.
   if (d.n() < latest_.n()) return;
   const int old_view = latest_.n();
-  latest_ = d;
+  // A delta decoded against latest_ itself (same decided_at and digest,
+  // the anchor's identity on the wire) turns latest_ into `d` by the
+  // entries it overrode; anything else is a full copy.
+  const bool in_place = patch != nullptr && patch->delta &&
+                        patch->anchor_at == latest_.decided_at &&
+                        patch->anchor_digest == latest_digest_;
+  const bool anchor_cleaned = latest_cleaned_;
+  if (in_place) {
+    apply_patch(latest_, d, *patch);
+    for (const std::uint16_t j : patch->of(DecisionPatch::kMaxProcessed)) {
+      mt_.mark_report_dirty(j);
+    }
+  } else {
+    latest_ = d;
+    mt_.mark_report_dirty_all();
+  }
+  latest_digest_ = digest;
+  latest_cleaned_ = false;
+  if (!in_place || !patch->of(DecisionPatch::kAlive).empty()) {
+    dead_.clear();
+    for (ProcessId q = 0; q < latest_.n(); ++q) {
+      if (!latest_.alive[q]) dead_.push_back(q);
+    }
+  }
   if (d.n() > old_view) {
     // The view widened: recovery serve-cache entries encoded under the old
     // view must not revalidate (satellite: a post-join joiner must never
@@ -505,7 +556,17 @@ void UrcgcProcess::apply_decision(const Decision& d) {
   // processed prefix. The baseline it adopts supersedes these cleanings.
   if (d.full_group && (join_phase_ == JoinPhase::kMember ||
                        baseline_adopted_)) {
-    const std::size_t purged = mt_.clean(d.clean_upto);
+    // Entries the patch left alone equal cleaning points already applied
+    // to the anchor, so only the moved ones can purge anything. A
+    // deliberate mutation clamps cleaning to the moving prefix and must
+    // revisit every origin.
+    const bool moved_only = in_place && anchor_cleaned &&
+                            config_.mutation == ProtocolMutation::kNone;
+    const std::size_t purged =
+        moved_only
+            ? mt_.clean(d.clean_upto, patch->of(DecisionPatch::kCleanUpto))
+            : mt_.clean(d.clean_upto);
+    latest_cleaned_ = true;
     if (purged > 0) {
       ++counters_.cleanings;
       bump(m_.cleanings);
@@ -526,8 +587,7 @@ void UrcgcProcess::apply_decision(const Decision& d) {
   // Orphan cut: a crashed originator whose oldest waiting message sits more
   // than one past the best processed point means the gap messages died with
   // their holders; everything depending on them must be destroyed.
-  for (ProcessId q = 0; q < d.n(); ++q) {
-    if (d.alive[q]) continue;
+  for (const ProcessId q : dead_) {
     if (d.min_waiting[q] == kNoSeq) continue;
     if (d.min_waiting[q] > d.max_processed[q] + 1) {
       const auto discarded =
@@ -538,7 +598,7 @@ void UrcgcProcess::apply_decision(const Decision& d) {
   }
 
   // Parked JOIN solicitations the applied view already covers are settled
-  // (admitted — or, for ids below the view that somehow parked, moot).
+  // (admitted — or, for ids below the view, moot).
   std::erase_if(parked_joins_,
                 [&](ProcessId p) { return p < latest_.n(); });
 }
@@ -586,44 +646,47 @@ void UrcgcProcess::issue_recoveries(SubrunId subrun) {
   // circulating decision reveals the rest: if the most updated process has
   // processed further into origin q's sequence than our prefix, we are
   // missing messages even though nothing waits on them locally (e.g. the
-  // final messages of a sender whose later traffic never reached us).
-  for (ProcessId q = 0; q < latest_.n(); ++q) {
+  // final messages of a sender whose later traffic never reached us). Only
+  // origins the entity tracks as off max_processed can be.
+  mt_.for_each_report_dirty(latest_.n(), [&](ProcessId q) {
     const Seq advertised = latest_.max_processed[q];
     const Seq prefix = mt_.prefix(q);
-    if (advertised == kNoSeq || advertised <= prefix) continue;
-    bool merged = false;
+    if (advertised == kNoSeq || advertised <= prefix) return;
     for (auto& range : ranges) {
       if (range.origin == q) {
         range.from_seq = std::min(range.from_seq, prefix + 1);
         range.to_seq = std::max(range.to_seq, advertised);
-        merged = true;
-        break;
+        return;
       }
     }
-    if (!merged) ranges.push_back({q, prefix + 1, advertised});
-  }
+    ranges.push_back({q, prefix + 1, advertised});
+  });
 
-  // Close the books on origins that are no longer missing: record the
-  // gap-open -> gap-closed latency and reset every budget.
-  std::vector<bool> missing_now(config_.n, false);
-  for (const auto& range : ranges) missing_now[range.origin] = true;
+  // Close the books on open origins that are no longer missing: record
+  // the gap-open -> gap-closed latency and reset every budget. Every
+  // other origin's state is already the default.
   const Tick per_rtd = rt_.clock().ticks_per_rtd();
-  for (ProcessId q = 0; q < config_.n; ++q) {
-    if (missing_now[q]) continue;
+  std::erase_if(recovering_, [&](ProcessId q) {
+    for (const auto& range : ranges) {
+      if (range.origin == q) return false;
+    }
     RecoveryState& state = recovery_[q];
-    if (state.gap_since != kNoTick && metrics_ != nullptr) {
+    if (metrics_ != nullptr) {
       metrics_->observe(self_, m_.recovery_latency_rtd,
                         static_cast<double>(rt_.now() - state.gap_since) /
                             static_cast<double>(per_rtd));
     }
     state = RecoveryState{};
-    state.baseline = mt_.prefix(q);
-  }
+    return true;
+  });
 
   for (const auto& range : ranges) {
     const ProcessId origin = range.origin;
     RecoveryState& state = recovery_[origin];
-    if (state.gap_since == kNoTick) state.gap_since = rt_.now();
+    if (state.gap_since == kNoTick) {
+      state.gap_since = rt_.now();
+      recovering_.push_back(origin);
+    }
 
     // Progress since the last attempt resets the counters: R counts
     // *unsuccessful* attempts, and a target that delivered keeps its
@@ -683,16 +746,9 @@ void UrcgcProcess::issue_recoveries(SubrunId subrun) {
 
 void UrcgcProcess::handle_request(Request rq) {
   if (rq.from < 0 || rq.from >= config_.n) return;  // beyond capacity
-  // An embed no fresher than our own decision can never become a
-  // coordinator base — freshest() keeps latest_ on ties, and latest_ only
-  // grows fresher — and from here on only its decided_at is read. Drop
-  // its body, so a full inbox window does not hold n copies of one
-  // decision.
-  if (rq.prev_decision.decided_at <= latest_.decided_at) {
-    const SubrunId embedded_at = rq.prev_decision.decided_at;
-    rq.prev_decision = Decision{};
-    rq.prev_decision.decided_at = embedded_at;
-  }
+  // An embed no fresher than latest_ arrives as a stub (decided_at only):
+  // the decoder and send_request drop its body, so a full inbox window
+  // does not hold n copies of one decision.
   if (rq.from >= latest_.n()) {
     // A sender past our view: a joiner admitted by a decision we have not
     // applied yet. We cannot judge its aliveness, but its embedded
@@ -995,6 +1051,8 @@ void UrcgcProcess::on_datagram(ProcessId src,
   if (config_.control_encoding == ControlEncoding::kDelta) {
     ctx.cache = &cache_;
   }
+  ctx.stub_embeds_upto = latest_.decided_at;
+  ctx.scratch = &rx_decision_;
   // Only a frame we could actually use counts as hearing from the group:
   // a dropped delta (anchor miss) is handled "as if the datagram had been
   // lost", and a lost datagram would not have reset the silence guard
@@ -1005,13 +1063,21 @@ void UrcgcProcess::on_datagram(ProcessId src,
     // Decisions decode into the scratch and are committed — to the anchor
     // cache, then to apply_decision — only once the whole frame decoded,
     // so a garbage frame never touches live state.
-    if (auto st = decode_decision_frame(bytes, &ctx, rx_decision_); !st) {
+    if (auto st = decode_decision_frame(bytes, &ctx, rx_decision_,
+                                        &rx_patch_);
+        !st) {
       drop_undecodable(ctx, st.error());
       return;
     }
-    if (ctx.cache != nullptr) cache_.insert(rx_decision_);
     last_datagram_at_ = rt_.now();
-    handle_decision(src, rx_decision_);
+    if (ctx.cache == nullptr) {
+      handle_decision(src, rx_decision_, 0, &rx_patch_);
+      return;
+    }
+    // Swapped into the ring, not copied; the scratch takes the evicted
+    // slot's vectors.
+    const DecisionCache::Stored stored = cache_.commit(rx_decision_);
+    handle_decision(src, *stored.decision, stored.digest, &rx_patch_);
     return;
   }
   auto pdu = decode_pdu(bytes, &ctx);
@@ -1040,7 +1106,8 @@ void UrcgcProcess::on_datagram(ProcessId src,
         } else if constexpr (std::is_same_v<T, Request>) {
           handle_request(std::move(payload));
         } else if constexpr (std::is_same_v<T, Decision>) {
-          handle_decision(src, payload);  // decision frames return above
+          // Decision frames return above.
+          handle_decision(src, payload, 0, nullptr);
         } else if constexpr (std::is_same_v<T, RecoverRq>) {
           handle_recover_rq(payload);
         } else if constexpr (std::is_same_v<T, RecoverRsp>) {
@@ -1088,7 +1155,9 @@ void UrcgcProcess::drop_undecodable(const DecodeContext& ctx,
                  << "), dropped");
 }
 
-void UrcgcProcess::handle_decision(ProcessId src, const Decision& d) {
+void UrcgcProcess::handle_decision(ProcessId src, const Decision& d,
+                                   std::uint64_t digest,
+                                   const DecisionPatch* patch) {
   // Decisions travel straight from their coordinator, so `src` names it.
   // A cut member acting on its stale group view (e.g. a healed minority
   // that has not yet learned of its own death) can coordinate a
@@ -1099,7 +1168,7 @@ void UrcgcProcess::handle_decision(ProcessId src, const Decision& d) {
   // how we learn of the widened view, so it passes (apply_decision still
   // rejects stale and narrower frames).
   if (src >= 0 && src < latest_.n() && !latest_.alive[src]) return;
-  apply_decision(d);
+  apply_decision(d, digest, patch);
 }
 
 void UrcgcProcess::halt(HaltReason reason) {

@@ -231,7 +231,12 @@ class UrcgcProcess {
   MtEntity::SubmitResult submit_tracked(AppMessage msg, Tick now);
   void send_request(SubrunId subrun);
   void act_as_coordinator(SubrunId subrun);
-  void apply_decision(const Decision& d);
+  /// Adopts `d` (whose digest is `digest`) as latest_ unless it is stale
+  /// or narrower. When `patch` says `d` was decoded as a delta against
+  /// latest_ itself, latest_ is patched in place and the follow-up work —
+  /// report tracking, cleaning, the orphan cut — visits only what changed.
+  void apply_decision(const Decision& d, std::uint64_t digest,
+                      const DecisionPatch* patch);
   void issue_recoveries(SubrunId subrun);
   /// Candidate servers for origin's gap starting at from_seq, in rotation
   /// order: the advertised most-updated holder, then the originator, then
@@ -242,7 +247,8 @@ class UrcgcProcess {
 
   /// Applies a decoded decision unless its coordinator `src` is a member
   /// our view has cut.
-  void handle_decision(ProcessId src, const Decision& d);
+  void handle_decision(ProcessId src, const Decision& d, std::uint64_t digest,
+                       const DecisionPatch* patch);
   void handle_request(Request rq);
   void handle_recover_rq(const RecoverRq& rq);
   void handle_recover_rsp(RecoverRsp rsp);
@@ -337,13 +343,28 @@ class UrcgcProcess {
   MtEntity mt_;
 
   Decision latest_;
+  /// Digest of latest_ under delta encoding (the anchor name its REQUESTs
+  /// carry), kept beside it so no request round hashes or compares it.
+  std::uint64_t latest_digest_ = 0;
+  /// True when latest_ is a full_group decision whose cleaning points were
+  /// all applied to mt_ — the premise of cleaning only what a patch moved.
+  bool latest_cleaned_ = false;
+  /// Members latest_ declares dead, ascending: the orphan cut's domain.
+  std::vector<ProcessId> dead_;
   /// Delta-encoding anchor window: decisions recently applied, computed
   /// or decoded here (populated only under ControlEncoding::kDelta).
   DecisionCache cache_;
-  /// Scratch a received DECISION frame decodes into before it is committed
-  /// to cache_ and applied; reused, so its vectors keep their capacity.
-  /// Never aliased by latest_ or a cache slot.
+  /// Scratch a received DECISION frame (or a stubbed REQUEST embed)
+  /// decodes into before it is swapped into cache_; it then holds the
+  /// evicted slot's vectors, so it keeps its capacity. Never aliased by
+  /// latest_ or a cache slot.
   Decision rx_decision_;
+  /// What the last DECISION_DELTA changed against its anchor.
+  DecisionPatch rx_patch_;
+  /// Request-round scratch: the REQUEST_DELTA's two sparse report
+  /// sections, reused every subrun.
+  std::vector<wire::SeqOverride> tx_processed_;
+  std::vector<wire::SeqOverride> tx_waiting_;
   Seq next_seq_ = 1;
   std::deque<std::pair<std::vector<std::uint8_t>, std::vector<Mid>>>
       user_queue_;
@@ -383,6 +404,8 @@ class UrcgcProcess {
     Tick gap_since = kNoTick;   ///< when this origin first went missing
   };
   std::vector<RecoveryState> recovery_;
+  /// Origins whose RecoveryState is open (gap_since set), in opening order.
+  std::vector<ProcessId> recovering_;
 
   // Single-entry recovery serve cache: the last batch encoded, revalidated
   // by History::version(). Identical requests from several peers (the

@@ -62,6 +62,14 @@ struct SocketRuntime::Context {
   std::vector<TxEntry> tx;
   std::vector<std::uint8_t> rx_buf;  // max_batch * max_datagram slices
   std::vector<sockaddr_in> rx_from;  // source address of each rx_buf slice
+#ifdef __linux__
+  // recvmmsg/sendmmsg headers, reused across calls: they only ever grow to
+  // max_batch, so a round's syscalls allocate nothing.
+  std::vector<mmsghdr> rx_msgs;
+  std::vector<iovec> rx_iovs;
+  std::vector<mmsghdr> tx_msgs;
+  std::vector<std::array<iovec, 2>> tx_iovs;
+#endif
   // Diagnostics: written by the owning thread, read by anyone (relaxed).
   std::atomic<std::uint64_t> tx_datagrams{0};
   std::atomic<std::uint64_t> rx_datagrams{0};
@@ -265,8 +273,11 @@ void SocketRuntime::flush_tx(int idx) {
   if (socket_config_.max_batch > 1) {
     const auto batch_cap = static_cast<std::size_t>(socket_config_.max_batch);
     std::size_t done = 0;
-    std::vector<mmsghdr> msgs(std::min(batch_cap, ctx.tx.size()));
-    std::vector<std::array<iovec, 2>> iovs(msgs.size());
+    const std::size_t slots = std::min(batch_cap, ctx.tx.size());
+    if (ctx.tx_msgs.size() < slots) ctx.tx_msgs.resize(slots);
+    if (ctx.tx_iovs.size() < slots) ctx.tx_iovs.resize(slots);
+    std::vector<mmsghdr>& msgs = ctx.tx_msgs;
+    std::vector<std::array<iovec, 2>>& iovs = ctx.tx_iovs;
     int attempts = 0;
     while (done < ctx.tx.size()) {
       const auto batch = std::min(batch_cap, ctx.tx.size() - done);
@@ -367,8 +378,10 @@ void SocketRuntime::collect_external(int idx, Tick /*cutoff*/) {
     const auto batch = static_cast<std::size_t>(socket_config_.max_batch);
     if (ctx.rx_buf.size() < batch * slot) ctx.rx_buf.resize(batch * slot);
     if (ctx.rx_from.size() < batch) ctx.rx_from.resize(batch);
-    std::vector<mmsghdr> msgs(batch);
-    std::vector<iovec> iovs(batch);
+    if (ctx.rx_msgs.size() < batch) ctx.rx_msgs.resize(batch);
+    if (ctx.rx_iovs.size() < batch) ctx.rx_iovs.resize(batch);
+    std::vector<mmsghdr>& msgs = ctx.rx_msgs;
+    std::vector<iovec>& iovs = ctx.rx_iovs;
     for (;;) {
       for (std::size_t i = 0; i < batch; ++i) {
         iovs[i] = {ctx.rx_buf.data() + i * slot, slot};

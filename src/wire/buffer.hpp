@@ -80,9 +80,21 @@ class Writer {
 /// written through it is digested without being materialized.
 class Fnv1aSink {
  public:
-  void u8(std::uint8_t v) { hash_ = (hash_ ^ v) * 1099511628211ULL; }
+  void u8(std::uint8_t v) { hash_ = (hash_ ^ v) * kPrime; }
   void u16(std::uint16_t v) { put_be<2>(v); }
-  void u32(std::uint32_t v) { put_be<4>(v); }
+  void u32(std::uint32_t v) {
+    // A zero byte only multiplies the hash by the prime, so the leading
+    // zero bytes of the small seqs that fill a decision fold into one
+    // multiply by a power of it: same hash, a shorter multiply chain.
+    if (v < 0x100) {
+      hash_ = ((hash_ * kPrime3) ^ v) * kPrime;
+    } else if (v < 0x10000) {
+      hash_ = ((((hash_ * kPrime2) ^ (v >> 8)) * kPrime) ^ (v & 0xFF)) *
+              kPrime;
+    } else {
+      put_be<4>(v);
+    }
+  }
   void u64(std::uint64_t v) { put_be<8>(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -91,6 +103,10 @@ class Fnv1aSink {
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
+  static constexpr std::uint64_t kPrime = 1099511628211ULL;
+  static constexpr std::uint64_t kPrime2 = kPrime * kPrime;
+  static constexpr std::uint64_t kPrime3 = kPrime2 * kPrime;
+
   template <std::size_t N>
   void put_be(std::uint64_t v) {
     for (std::size_t i = 0; i < N; ++i) {

@@ -10,6 +10,7 @@
 // before reading, defending against hostile length prefixes.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -43,11 +44,12 @@ inline void put_sparse(Writer& w, const V& v, BaseAt base_at,
 /// Reads one sparse section and applies it to `v` in place (`v` holds the
 /// baseline on entry). `entry_bytes` is the wire size of one (index,
 /// payload) pair; `apply(r, i)` reads the payload of index i into v[i].
+/// `touched`, when non-null, has the patched indexes appended in order.
 /// On error `v` is partially patched — callers decode into scratch.
 template <typename V, typename Apply>
-[[nodiscard]] inline Status<DecodeError> patch_sparse(Reader& r, V& v,
-                                                      std::size_t entry_bytes,
-                                                      Apply apply) {
+[[nodiscard]] inline Status<DecodeError> patch_sparse(
+    Reader& r, V& v, std::size_t entry_bytes, Apply apply,
+    std::vector<std::uint16_t>* touched = nullptr) {
   auto count = r.u16();
   if (!count) return Unexpected(count.error());
   if (count.value() * static_cast<std::uint64_t>(entry_bytes) >
@@ -62,6 +64,7 @@ template <typename V, typename Apply>
     }
     prev = idx;
     apply(r, idx);
+    if (touched != nullptr) touched->push_back(idx);
   }
   return {};
 }
@@ -81,11 +84,35 @@ inline void put_sparse_seqs(Writer& w, const std::vector<Seq>& v, Seq fill) {
              [&](Seq s) { w.u32(static_cast<std::uint32_t>(s)); });
 }
 
+/// One entry of a seq section built by the caller: what put_sparse_seqs
+/// would write for index `index`, when the caller already knows which
+/// indexes differ from the baseline.
+struct SeqOverride {
+  std::uint16_t index = 0;
+  Seq seq = kNoSeq;
+};
+
+/// Writes a seq section from precomputed overrides (strictly increasing
+/// indexes): byte-identical to put_sparse_seqs over the full vectors they
+/// were taken from, in O(overrides).
+inline void put_seq_overrides(Writer& w, std::span<const SeqOverride> v) {
+  URCGC_ASSERT(v.size() <= kSparseMaxIndex);
+  w.u16(static_cast<std::uint16_t>(v.size()));
+  for (const SeqOverride& o : v) {
+    w.u16(o.index);
+    w.u32(static_cast<std::uint32_t>(o.seq));
+  }
+}
+
 [[nodiscard]] inline Status<DecodeError> patch_sparse_seqs(
-    Reader& r, std::vector<Seq>& v) {
-  return patch_sparse(r, v, 6, [&v](Reader& in, std::size_t i) {
-    v[i] = static_cast<Seq>(in.u32().value());
-  });
+    Reader& r, std::vector<Seq>& v,
+    std::vector<std::uint16_t>* touched = nullptr) {
+  return patch_sparse(
+      r, v, 6,
+      [&v](Reader& in, std::size_t i) {
+        v[i] = static_cast<Seq>(in.u32().value());
+      },
+      touched);
 }
 
 /// Bool flip list: u16 indices where `v` differs from `base` (flipping the
@@ -97,9 +124,10 @@ inline void put_sparse_flips(Writer& w, const std::vector<bool>& v,
 }
 
 [[nodiscard]] inline Status<DecodeError> patch_sparse_flips(
-    Reader& r, std::vector<bool>& v) {
-  return patch_sparse(r, v, 2,
-                      [&v](Reader&, std::size_t i) { v[i] = !v[i]; });
+    Reader& r, std::vector<bool>& v,
+    std::vector<std::uint16_t>* touched = nullptr) {
+  return patch_sparse(
+      r, v, 2, [&v](Reader&, std::size_t i) { v[i] = !v[i]; }, touched);
 }
 
 /// u8 overrides: (u16 index, u8 value) — the attempts counters.
@@ -111,10 +139,11 @@ inline void put_sparse_u8s(Writer& w, const std::vector<std::uint8_t>& v,
 }
 
 [[nodiscard]] inline Status<DecodeError> patch_sparse_u8s(
-    Reader& r, std::vector<std::uint8_t>& v) {
-  return patch_sparse(r, v, 3, [&v](Reader& in, std::size_t i) {
-    v[i] = in.u8().value();
-  });
+    Reader& r, std::vector<std::uint8_t>& v,
+    std::vector<std::uint16_t>* touched = nullptr) {
+  return patch_sparse(
+      r, v, 3,
+      [&v](Reader& in, std::size_t i) { v[i] = in.u8().value(); }, touched);
 }
 
 /// ProcessId overrides: (u16 index, u16 pid) with pdu.cpp's 0xFFFF =
@@ -129,11 +158,15 @@ inline void put_sparse_pids(Writer& w, const std::vector<ProcessId>& v,
 }
 
 [[nodiscard]] inline Status<DecodeError> patch_sparse_pids(
-    Reader& r, std::vector<ProcessId>& v) {
-  return patch_sparse(r, v, 4, [&v](Reader& in, std::size_t i) {
-    const std::uint16_t pid = in.u16().value();
-    v[i] = pid == 0xFFFF ? kNoProcess : static_cast<ProcessId>(pid);
-  });
+    Reader& r, std::vector<ProcessId>& v,
+    std::vector<std::uint16_t>* touched = nullptr) {
+  return patch_sparse(
+      r, v, 4,
+      [&v](Reader& in, std::size_t i) {
+        const std::uint16_t pid = in.u16().value();
+        v[i] = pid == 0xFFFF ? kNoProcess : static_cast<ProcessId>(pid);
+      },
+      touched);
 }
 
 }  // namespace urcgc::wire

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "check/explorer.hpp"
 #include "common/rng.hpp"
 #include "core/delta.hpp"
+#include "core/mt_entity.hpp"
 #include "core/pdu.hpp"
 #include "core/process.hpp"
 #include "harness/experiment.hpp"
@@ -205,6 +210,57 @@ TEST(DecisionDigest, GoldenValues) {
   b.boundaries.push_back({12, std::vector<Seq>(5, 4)});
   b.boundaries.push_back({19, {1, 2, 3, 4, 5}});
   EXPECT_EQ(decision_digest(b), 0xC02B2C2AF634CA07ULL);
+}
+
+TEST(DecisionDigest, EqualsBytewiseFnvOfTheCanonicalBody) {
+  // The sink folds runs of leading zero bytes into one multiply; the hash
+  // must stay FNV-1a over exactly the bytes encode_decision_body writes,
+  // whatever the magnitudes (zero, one and two significant bytes, full
+  // width, negative sentinels).
+  Rng rng(3);
+  const auto draw = [&rng]() -> std::int64_t {
+    switch (rng.uniform(5)) {
+      case 0: return 0;
+      case 1: return static_cast<std::int64_t>(rng.uniform(0x100));
+      case 2: return static_cast<std::int64_t>(rng.uniform(0x10000));
+      case 3: return static_cast<std::int64_t>(rng.uniform(1ULL << 40));
+      default: return -1 - static_cast<std::int64_t>(rng.uniform(1000));
+    }
+  };
+  for (int round = 0; round < 300; ++round) {
+    const int n = 1 + static_cast<int>(rng.uniform(40));
+    Decision d = Decision::initial(n);
+    d.decided_at = draw();
+    d.coordinator = static_cast<ProcessId>(draw());
+    d.full_group = rng.uniform(2) == 0;
+    for (int j = 0; j < n; ++j) {
+      d.clean_upto[j] = draw();
+      d.stable_acc[j] = draw();
+      d.heard[j] = rng.uniform(2) == 0;
+      d.max_processed[j] = draw();
+      d.most_updated[j] =
+          rng.uniform(4) == 0 ? kNoProcess
+                              : static_cast<ProcessId>(rng.uniform(0x10000));
+      d.min_waiting[j] = draw();
+      d.attempts[j] = static_cast<std::uint8_t>(rng.uniform(3) == 0
+                                                    ? rng.uniform(256)
+                                                    : 0);
+      d.alive[j] = rng.uniform(5) != 0;
+    }
+    d.stability_epoch = draw();
+    for (std::uint64_t b = rng.uniform(3); b > 0; --b) {
+      StabilityBoundary boundary{draw(), std::vector<Seq>(n)};
+      for (Seq& seq : boundary.clean_upto) seq = draw();
+      d.boundaries.push_back(std::move(boundary));
+    }
+    wire::Writer w;
+    encode_decision_body(w, d);
+    std::uint64_t bytewise = 14695981039346656037ULL;
+    for (const std::uint8_t byte : w.view()) {
+      bytewise = (bytewise ^ byte) * 1099511628211ULL;
+    }
+    ASSERT_EQ(decision_digest(d), bytewise) << "round " << round;
+  }
 }
 
 TEST(DecisionCache, InsertFindDedupeEvict) {
@@ -565,11 +621,271 @@ TEST(DeltaFrames, TruncationAndMutationFuzzNeverCrash) {
   }
 }
 
+// ---- O(changed) receive: patches, stubs and tracked reports ----
+
+TEST(DecisionPatch, InPlacePatchEqualsTheDecodedDecision) {
+  // A receiver holding the anchor turns its own copy into the decoded
+  // decision by the patch alone: the result must equal a full copy, with
+  // boundary windows that drop and append, for a long random chain.
+  for (const int n : {6, 100}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng rng(static_cast<std::uint64_t>(n) + 5);
+    Config config = delta_config(n);
+    config.delta_snapshot_every = 1 << 20;
+    config.max_subruns_in_flight = 4;
+    Decision anchor = sample_decision(n, 10);
+    Decision latest = anchor;  // the receiver's copy, patched in place
+    for (int step = 0; step < 200; ++step) {
+      Decision d = anchor;
+      d.decided_at = anchor.decided_at + 1 +
+                     static_cast<SubrunId>(rng.uniform(4));
+      d.coordinator = static_cast<ProcessId>(rng.uniform(n));
+      d.full_group = rng.uniform(2) == 0;
+      for (std::uint64_t c = rng.uniform(6); c > 0; --c) {
+        const auto j = static_cast<std::size_t>(rng.uniform(n));
+        switch (rng.uniform(7)) {
+          case 0: d.clean_upto[j] += 1; break;
+          case 1: d.stable_acc[j] += 2; break;
+          case 2: d.heard[j] = !d.heard[j]; break;
+          case 3: d.max_processed[j] += 1; break;
+          case 4:
+            d.most_updated[j] = static_cast<ProcessId>(rng.uniform(n));
+            break;
+          case 5: d.min_waiting[j] = rng.uniform(2) == 0 ? kNoSeq : 5; break;
+          default: d.attempts[j] = static_cast<std::uint8_t>(rng.uniform(4));
+        }
+      }
+      if (rng.uniform(5) == 0) {
+        ++d.stability_epoch;
+        d.boundaries.push_back({d.decided_at, d.stable_acc});
+        if (d.boundaries.size() > Decision::kBoundaryWindow) {
+          d.boundaries.erase(d.boundaries.begin());
+        }
+      }
+      ASSERT_TRUE(decision_delta_eligible(d, anchor, config));
+      const auto frame = encode_decision_pdu(d, anchor, config);
+      ASSERT_EQ(frame[0], static_cast<std::uint8_t>(PduType::kDecisionDelta));
+
+      DecisionCache cache(8);
+      const std::uint64_t anchor_digest = cache.insert(anchor);
+      DecodeContext ctx;
+      ctx.cache = &cache;
+      Decision decoded;
+      DecisionPatch patch;
+      ASSERT_TRUE(decode_decision_frame(frame, &ctx, decoded, &patch).ok());
+      ASSERT_EQ(decoded, d);
+      EXPECT_TRUE(patch.delta);
+      EXPECT_EQ(patch.anchor_at, anchor.decided_at);
+      EXPECT_EQ(patch.anchor_digest, anchor_digest);
+      for (const std::uint16_t j :
+           patch.of(DecisionPatch::kMaxProcessed)) {
+        EXPECT_NE(anchor.max_processed[j], d.max_processed[j]);
+      }
+      apply_patch(latest, decoded, patch);
+      ASSERT_EQ(latest, d) << "step " << step;
+      anchor = d;
+    }
+  }
+}
+
+TEST(RequestStub, StubDecodeAcceptsAndRejectsExactlyLikeFullDecode) {
+  // A receiver whose own decision is at least as fresh decodes REQUEST
+  // embeds as stubs. Under truncation and mutation it must accept and
+  // reject the same frames as a full decode, yield the same fields apart
+  // from the dropped body, and leave its anchor cache in the same state.
+  const int n = 6;
+  Request rq;
+  rq.subrun = 36;
+  rq.from = 2;
+  rq.prev_decision = sample_decision(n, 35);
+  rq.last_processed = rq.prev_decision.max_processed;
+  rq.last_processed[3] += 2;
+  rq.oldest_waiting.assign(n, kNoSeq);
+  rq.oldest_waiting[1] = 7;
+  const Config config = delta_config();
+  const std::vector<std::vector<std::uint8_t>> frames{
+      encode_request_pdu(rq, config), encode_pdu(rq)};
+  ASSERT_EQ(frames[0][0], static_cast<std::uint8_t>(PduType::kRequestDelta));
+  ASSERT_EQ(frames[1][0], static_cast<std::uint8_t>(PduType::kRequest));
+
+  Rng rng(11);
+  int accepted = 0;
+  int stubbed = 0;
+  const auto check = [&](std::span<const std::uint8_t> bytes) {
+    DecisionCache full_cache(8);
+    DecisionCache stub_cache(8);
+    full_cache.insert(rq.prev_decision);
+    stub_cache.insert(rq.prev_decision);
+    DecodeContext full_ctx;
+    full_ctx.cache = &full_cache;
+    DecodeContext stub_ctx;
+    stub_ctx.cache = &stub_cache;
+    stub_ctx.stub_embeds_upto = std::numeric_limits<SubrunId>::max();
+    Decision scratch;
+    stub_ctx.scratch = &scratch;
+    const auto full = decode_pdu(bytes, &full_ctx);
+    const auto stub = decode_pdu(bytes, &stub_ctx);
+    ASSERT_EQ(full.has_value(), stub.has_value());
+    EXPECT_EQ(full_ctx.anchor_missed, stub_ctx.anchor_missed);
+    EXPECT_TRUE(full_cache == stub_cache);
+    if (!full.has_value()) {
+      EXPECT_EQ(full.error(), stub.error());
+      return;
+    }
+    ++accepted;
+    ASSERT_EQ(full.value().index(), stub.value().index());
+    const auto* a = std::get_if<Request>(&full.value());
+    if (a == nullptr) {
+      EXPECT_TRUE(full.value() == stub.value());
+      return;
+    }
+    const auto* b = std::get_if<Request>(&stub.value());
+    EXPECT_EQ(a->subrun, b->subrun);
+    EXPECT_EQ(a->from, b->from);
+    EXPECT_EQ(a->last_processed, b->last_processed);
+    EXPECT_EQ(a->oldest_waiting, b->oldest_waiting);
+    Decision expected_stub;
+    expected_stub.decided_at = a->prev_decision.decided_at;
+    EXPECT_EQ(b->prev_decision, expected_stub);
+    ++stubbed;
+  };
+  for (const auto& frame : frames) {
+    check(frame);
+    for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+      check(std::span<const std::uint8_t>(frame.data(), cut));
+    }
+    for (int round = 0; round < 3000; ++round) {
+      auto mutated = frame;
+      for (std::uint64_t flips = 1 + rng.uniform(3); flips > 0; --flips) {
+        mutated[rng.uniform(mutated.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.uniform(255));
+      }
+      check(mutated);
+    }
+  }
+  EXPECT_GT(stubbed, 2) << "the unmutated frames, at least";
+  EXPECT_GE(accepted, stubbed);
+
+  // An embed fresher than the receiver's decision keeps its body.
+  DecisionCache cache(8);
+  cache.insert(rq.prev_decision);
+  for (const auto& frame : frames) {
+    DecodeContext ctx;
+    ctx.cache = &cache;
+    ctx.stub_embeds_upto = rq.prev_decision.decided_at - 1;
+    const auto pdu = decode_pdu(frame, &ctx);
+    ASSERT_TRUE(pdu.has_value());
+    EXPECT_EQ(std::get<Request>(pdu.value()), rq);
+  }
+}
+
+TEST(RequestReport, TrackedEncoderMatchesReferenceEncoder) {
+  // The REQUEST_DELTA a member sends is built from the origins its entity
+  // tracks as off the anchor. Under random traffic — lost copies that
+  // park later messages, retransmissions that release them, cross-origin
+  // dependencies — and a random anchor chain with full replacements, lag,
+  // snapshot subruns (no tracked encode runs) and a view widening, it
+  // must be byte-identical to the O(n) reference encoder.
+  for (const int n : {10, 100, 300}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Config config = delta_config(n);
+    config.max_subruns_in_flight = 4;
+    MtEntity mt(config, 0, nullptr);
+    Rng rng(static_cast<std::uint64_t>(n) * 7 + 1);
+    const int founders = n - n / 10;
+    const SubrunId widen_at = 60;
+    Decision anchor = Decision::initial(founders);
+    anchor.decided_at = 0;
+    std::vector<Seq> next(static_cast<std::size_t>(n), 1);
+    std::vector<AppMessage> lost;
+    std::vector<wire::SeqOverride> processed;
+    std::vector<wire::SeqOverride> waiting;
+    int compared = 0;
+    int with_waiting = 0;
+    for (SubrunId subrun = 1; subrun <= 240; ++subrun) {
+      for (std::uint64_t i = 1 + rng.uniform(4); i > 0; --i) {
+        const auto origin = static_cast<ProcessId>(rng.uniform(n));
+        AppMessage msg;
+        msg.mid = {origin, next[origin]++};
+        if (msg.mid.seq > 1) msg.deps.push_back({origin, msg.mid.seq - 1});
+        const auto other = static_cast<ProcessId>(rng.uniform(n));
+        if (other != origin && next[other] > 1 && rng.uniform(3) == 0) {
+          msg.deps.push_back({other, next[other] - 1});
+        }
+        if (rng.uniform(5) == 0) {
+          lost.push_back(std::move(msg));
+        } else {
+          (void)mt.submit(std::move(msg), subrun);
+        }
+      }
+      if (!lost.empty() && rng.uniform(3) == 0) {
+        const std::size_t at = rng.uniform(lost.size());
+        (void)mt.submit(std::move(lost[at]), subrun);
+        lost.erase(lost.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+
+      // The anchor moves as a process's latest_ does: patched in place
+      // (the caller marks the max_processed entries it moved) or replaced
+      // (the caller marks everything).
+      if (subrun == widen_at) {
+        while (anchor.n() < n) {
+          std::vector<ProcessId> joiner{static_cast<ProcessId>(anchor.n())};
+          admit_joins(anchor, joiner, n);
+        }
+        anchor.decided_at = subrun - 1;
+        mt.mark_report_dirty_all();
+      } else if (rng.uniform(10) == 0) {
+        for (Seq& seq : anchor.max_processed) {
+          seq = static_cast<Seq>(rng.uniform(8));
+        }
+        anchor.decided_at = subrun - 1;
+        mt.mark_report_dirty_all();
+      } else if (rng.uniform(6) != 0) {  // otherwise the anchor lags
+        for (std::uint64_t c = rng.uniform(5); c > 0; --c) {
+          const auto j = static_cast<ProcessId>(rng.uniform(anchor.n()));
+          const Seq prefix = mt.prefix(j);
+          anchor.max_processed[j] =
+              rng.uniform(2) == 0 ? prefix
+                                  : prefix + static_cast<Seq>(rng.uniform(3));
+          mt.mark_report_dirty(j);
+        }
+        anchor.decided_at = subrun - 1;
+      }
+
+      const int width = anchor.n();
+      if (!request_delta_eligible(anchor.decided_at, subrun, width, config)) {
+        continue;  // a full frame goes out; nothing tracked is touched
+      }
+      Request rq;
+      rq.subrun = subrun;
+      rq.from = 0;
+      mt.last_processed_into(rq.last_processed, width);
+      mt.oldest_waiting_into(rq.oldest_waiting, width);
+      rq.prev_decision = anchor;
+      ASSERT_TRUE(request_delta_eligible(rq, config));
+      wire::Writer reference;
+      encode_request_delta_body(reference, rq, 0xA5A5);
+
+      mt.report_overrides(anchor.max_processed, processed, waiting);
+      wire::Writer tracked;
+      encode_request_delta_body(tracked, subrun, 0, anchor.decided_at, 0xA5A5,
+                                processed, waiting);
+      ASSERT_TRUE(std::ranges::equal(reference.view(), tracked.view()))
+          << "subrun " << subrun;
+      ++compared;
+      if (!waiting.empty()) ++with_waiting;
+    }
+    EXPECT_GT(compared, 150);
+    EXPECT_GT(with_waiting, 20) << "parked traffic must be exercised";
+  }
+}
+
 // ---- a process's decision receive path ----
 
 /// Endpoint decorator for one member: forwards its traffic, lets the test
 /// inject datagrams through the member's upcall, and counts allocations
-/// made while the member handles each DECISION frame it receives.
+/// made while the member handles each frame `measured` selects (DECISION
+/// frames unless the test says otherwise).
 class TapEndpoint final : public net::Endpoint {
  public:
   explicit TapEndpoint(std::unique_ptr<net::Endpoint> inner)
@@ -580,17 +896,23 @@ class TapEndpoint final : public net::Endpoint {
     upcall_ = std::move(fn);
     inner_->set_upcall(
         [this](ProcessId src, std::span<const std::uint8_t> bytes) {
-          if (!measuring || !is_decision_frame(bytes)) {
+          if (drop_app_every > 0 && !bytes.empty() &&
+              bytes[0] == static_cast<std::uint8_t>(PduType::kAppData) &&
+              ++app_frames % drop_app_every == 0) {
+            return;  // a receive omission
+          }
+          if (!measuring || !measured(bytes)) {
             upcall_(src, bytes);
             return;
           }
           const std::uint64_t before = testsupport::thread_allocations();
           upcall_(src, bytes);
-          decision_allocations += testsupport::thread_allocations() - before;
-          ++decision_frames;
+          allocations += testsupport::thread_allocations() - before;
+          ++frames;
         });
   }
   void send(ProcessId dst, wire::SharedBuffer payload) override {
+    if (on_send) on_send(payload.view());
     inner_->send(dst, std::move(payload));
   }
   void broadcast(wire::SharedBuffer payload) override {
@@ -604,8 +926,15 @@ class TapEndpoint final : public net::Endpoint {
   }
 
   bool measuring = false;
-  std::uint64_t decision_frames = 0;
-  std::uint64_t decision_allocations = 0;
+  bool (*measured)(std::span<const std::uint8_t>) = is_decision_frame;
+  /// Drops every drop_app_every-th application frame the member receives
+  /// (0 = none), so it lags the group and recovers.
+  int drop_app_every = 0;
+  int app_frames = 0;
+  /// Sees every unicast frame the member sends, before it leaves.
+  std::function<void(std::span<const std::uint8_t>)> on_send;
+  std::uint64_t frames = 0;
+  std::uint64_t allocations = 0;
 
  private:
   std::unique_ptr<net::Endpoint> inner_;
@@ -725,13 +1054,102 @@ TEST(DecisionReceive, AllocationBudgetAtOneHundredMembers) {
   g.run_subruns(12, 4);  // warm-up: the ring wraps, vectors reach size
   g.tap->measuring = true;
   g.run_subruns(16, 4);  // includes the subrun-16 full snapshot frame
-  ASSERT_GE(g.tap->decision_frames, 12u);
-  EXPECT_LE(static_cast<double>(g.tap->decision_allocations) /
-                static_cast<double>(g.tap->decision_frames),
+  ASSERT_GE(g.tap->frames, 12u);
+  EXPECT_LE(static_cast<double>(g.tap->allocations) /
+                static_cast<double>(g.tap->frames),
             0.5)
-      << g.tap->decision_allocations << " allocations over "
-      << g.tap->decision_frames << " DECISION frames";
+      << g.tap->allocations << " allocations over " << g.tap->frames
+      << " DECISION frames";
   EXPECT_FALSE(g.processes[7]->halted());
+}
+
+bool is_request_frame(std::span<const std::uint8_t> bytes) {
+  return !bytes.empty() &&
+         (bytes[0] == static_cast<std::uint8_t>(PduType::kRequest) ||
+          bytes[0] == static_cast<std::uint8_t>(PduType::kRequestDelta));
+}
+
+TEST(RequestReceive, AllocationBudgetAtOneHundredMembers) {
+  // A coordinator at n = 100 keeps only what it merges from each REQUEST:
+  // the two report vectors. The embed arrives as a stub (it is no fresher
+  // than the coordinator's own decision) and the inbox window was sized
+  // for the whole group. Member 16 coordinates subrun 16, a snapshot
+  // subrun whose REQUESTs are full frames; member 21 takes delta frames.
+  for (const ProcessId coordinator : {16, 21}) {
+    SCOPED_TRACE("coordinator " + std::to_string(coordinator));
+    Config config = delta_config(100);
+    config.max_subruns_in_flight = 4;
+    TappedGroup g(config, coordinator);
+    g.tap->measured = is_request_frame;
+    g.run_subruns(12, 4);  // warm-up: the ring wraps, vectors reach size
+    g.tap->measuring = true;
+    g.run_subruns(16, 4);
+    ASSERT_GE(g.tap->frames, 90u);
+    EXPECT_LE(static_cast<double>(g.tap->allocations) /
+                  static_cast<double>(g.tap->frames),
+              2.2)
+        << g.tap->allocations << " allocations over " << g.tap->frames
+        << " REQUEST frames";
+    EXPECT_FALSE(g.processes[static_cast<std::size_t>(coordinator)]->halted());
+  }
+}
+
+TEST(RequestReport, SentRequestsMatchTheReferenceEncoder) {
+  // End to end: every REQUEST_DELTA a live member sends must equal the
+  // O(n) reference encoding of the member's state at that moment — its
+  // full report vectors against its latest decision — across the
+  // decisions it patches in place, the full ones, and its own merges.
+  // The member loses some application frames, so decisions advertise
+  // messages it lacks, it parks their successors and recovers them.
+  Config config = delta_config(40);
+  config.max_subruns_in_flight = 4;
+  TappedGroup g(config, 5);
+  g.tap->drop_app_every = 7;
+  const UrcgcProcess& member = *g.processes[5];
+  int checked = 0;
+  g.tap->on_send = [&](std::span<const std::uint8_t> frame) {
+    if (frame.empty() ||
+        frame[0] != static_cast<std::uint8_t>(PduType::kRequestDelta)) {
+      return;
+    }
+    Request rq;
+    wire::Reader head(frame.subspan(1));
+    rq.subrun = head.i64().value();
+    rq.from = member.id();
+    member.mt().last_processed_into(rq.last_processed, member.view());
+    member.mt().oldest_waiting_into(rq.oldest_waiting, member.view());
+    rq.prev_decision = member.latest_decision();
+    bool was_delta = false;
+    const auto reference = encode_request_pdu(rq, config, &was_delta);
+    EXPECT_TRUE(was_delta);
+    EXPECT_TRUE(std::ranges::equal(reference, frame))
+        << "subrun " << rq.subrun;
+    ++checked;
+  };
+  g.run_subruns(48, 6);
+  EXPECT_GT(checked, 30);
+  EXPECT_GT(member.counters().recovery_msgs, 0u);
+  EXPECT_FALSE(member.halted());
+}
+
+TEST(DecisionReceive, LiveMembersStayEqualToTheirCachedDecision) {
+  // Members patch latest_ in place from each delta. Whatever path each
+  // decision took, latest_ must hash to a decision its ring holds — i.e.
+  // be byte-for-byte a decision some frame or its own merge produced.
+  Config config = delta_config(20);
+  config.max_subruns_in_flight = 4;
+  TappedGroup g(config, 3);
+  for (int block = 0; block < 6; ++block) {
+    g.run_subruns(7, 3);
+    for (const auto& process : g.processes) {
+      const Decision& latest = process->latest_decision();
+      ASSERT_GE(latest.decided_at, 0);
+      EXPECT_NE(process->decision_cache().find(latest.decided_at,
+                                               decision_digest(latest)),
+                nullptr)
+          << "p" << process->id() << " at " << latest.decided_at;
+    }
+  }
 }
 
 // ---- cross-encoding equivalence through the experiment harness ----

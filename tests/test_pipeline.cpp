@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "alloc_guard.hpp"
 #include "core/pipeline.hpp"
 #include "core/process.hpp"
 #include "core/total_order.hpp"
@@ -23,6 +24,32 @@ Request request_from(ProcessId from, SubrunId subrun) {
   rq.subrun = subrun;
   rq.from = from;
   return rq;
+}
+
+TEST(Pipeline, SizedWindowAdmitsWithoutReallocating) {
+  // A coordinator sizes its window for the whole view: the group's
+  // requests then park without the window growing (and moving every
+  // parked Request) step by step.
+  SubrunPipeline pipeline(4, 0);
+  pipeline.open_window(9, 100);
+  std::vector<Request> requests;
+  for (ProcessId p = 0; p < 100; ++p) requests.push_back(request_from(p, 9));
+  const std::uint64_t before = testsupport::thread_allocations();
+  for (Request& rq : requests) {
+    ASSERT_EQ(pipeline.admit(std::move(rq)), SubrunPipeline::Admit::kAccepted);
+  }
+  EXPECT_EQ(testsupport::thread_allocations(), before);
+  EXPECT_EQ(pipeline.parked(), 100u);
+
+  // The cap still bounds the reservation.
+  SubrunPipeline capped(4, 8);
+  capped.open_window(3, 100);
+  for (ProcessId p = 0; p < 8; ++p) {
+    ASSERT_EQ(capped.admit(request_from(p, 3)),
+              SubrunPipeline::Admit::kAccepted);
+  }
+  EXPECT_EQ(capped.admit(request_from(8, 3)),
+            SubrunPipeline::Admit::kOverflow);
 }
 
 TEST(Pipeline, AwaitedDecisionTrailsByDepth) {
