@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the urcgc
-// implementation: wire codecs, the delta control plane's digest, anchor
+// implementation: wire codecs (application frames decoded with and
+// without an owning buffer), the delta control plane's digest, anchor
 // cache, delta decode and apply, REQUEST_DELTA encode and decode, history
 // operations, in-order processing,
 // waiting-list park and release, vector clocks, decision computation, and
@@ -226,12 +227,42 @@ void BM_EncodeAppMessage(benchmark::State& state) {
   core::AppMessage msg;
   msg.mid = {3, 1000};
   msg.deps = {{3, 999}, {0, 500}, {7, 123}};
-  msg.payload.assign(static_cast<std::size_t>(state.range(0)), 0xAB);
+  msg.payload =
+      std::vector<std::uint8_t>(static_cast<std::size_t>(state.range(0)), 0xAB);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::encode_pdu(msg));
   }
 }
 BENCHMARK(BM_EncodeAppMessage)->Arg(32)->Arg(512);
+
+// One received kAppData frame decoded as the process does. Args: deps,
+// payload bytes, and whether the frame has an owner. With one (what the
+// datagram endpoint and the socket runtime pass) the payload becomes a
+// slice of the frame and up to DepList::kInline deps stay inline; without
+// one (a span-only decorator) the frame is copied once first.
+void BM_DecodeAppFrame(benchmark::State& state) {
+  const auto deps = static_cast<Seq>(state.range(0));
+  const auto payload = static_cast<std::size_t>(state.range(1));
+  const bool owned = state.range(2) != 0;
+  core::AppMessage msg;
+  msg.mid = {3, 1000};
+  for (Seq d = 0; d < deps; ++d) {
+    msg.deps.push_back({static_cast<ProcessId>(d), 500 + d});
+  }
+  msg.payload = std::vector<std::uint8_t>(payload, 0xAB);
+  const wire::SharedBuffer frame = core::encode_pdu(msg);
+  for (auto _ : state) {
+    const wire::FrameRef ref =
+        owned ? wire::FrameRef(frame) : wire::FrameRef(frame.view());
+    auto pdu = ref.owner() != nullptr ? core::decode_pdu(ref.pin(), nullptr)
+                                      : core::decode_pdu(ref.view());
+    benchmark::DoNotOptimize(pdu);
+  }
+  state.SetLabel(owned ? "owned" : "span-only");
+}
+BENCHMARK(BM_DecodeAppFrame)
+    ->ArgNames({"deps", "payload", "owned"})
+    ->ArgsProduct({{1, 2, 5}, {64, 1024}, {1, 0}});
 
 // Steady-state store/purge on one long-lived history, as the protocol
 // uses it: each iteration stores a batch and purges it again. Arg 1 picks
@@ -364,7 +395,7 @@ void BM_WaitingListParkRelease(benchmark::State& state) {
     parked[i].mid = {origin, seq};
     parked[i].deps = {{origin, kBlockerBase + seq},
                       {(origin + 1) % kOrigins, kBlockerBase + seq}};
-    parked[i].payload.assign(64, 0);
+    parked[i].payload = std::vector<std::uint8_t>(64, 0);
     blockers.insert(blockers.end(), parked[i].deps.begin(),
                     parked[i].deps.end());
   }

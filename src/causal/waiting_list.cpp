@@ -184,7 +184,7 @@ std::vector<Mid> WaitingList::discard_depending_on(ProcessId origin,
   // crosses the gap).
   std::vector<Mid> to_discard;
   entries_.for_each([&](const Mid& mid, std::uint32_t slot) {
-    const std::vector<Mid>& deps = slots_[slot].msg.deps;
+    const DepList& deps = slots_[slot].msg.deps;
     const bool doomed =
         (mid.origin == origin && mid.seq >= gap_seq) ||
         std::any_of(deps.begin(), deps.end(), [&](const Mid& dep) {

@@ -93,14 +93,8 @@ std::vector<AppMessage> History::range(ProcessId origin, Seq from_seq,
                                        Seq to_seq,
                                        std::size_t max_count) const {
   std::vector<AppMessage> result;
-  if (!valid_origin(origin) || from_seq > to_seq) return result;
-  const OriginIndex& index = origins_[origin];
-  for (std::size_t i = lower_bound(index, from_seq);
-       i < index.size() && seq_at(index, i) <= to_seq &&
-       result.size() < max_count;
-       ++i) {
-    result.push_back(slot(index.at(i)));
-  }
+  for_each_in_range(origin, from_seq, to_seq, max_count,
+                    [&](const AppMessage& msg) { result.push_back(msg); });
   return result;
 }
 
@@ -110,8 +104,12 @@ std::size_t History::purge_upto(ProcessId origin, Seq upto) {
   std::size_t purged = 0;
   while (!index.empty() && seq_at(index, 0) <= upto) {
     const SlotId id = index.front();
-    // Release the message's buffers now; the slot itself is kept for reuse.
-    slot(id) = AppMessage{};
+    // Unpin the message's frame now (a refcount drop) and free spilled
+    // deps; the slot itself is kept for reuse. The two fields are reset in
+    // place: assigning an AppMessage{} would zero-fill a temporary first.
+    AppMessage& purged_msg = slot(id);
+    purged_msg.payload = wire::Slice();
+    purged_msg.deps = causal::DepList();
     free_.push_back(id);
     index.pop_front();
     ++purged;

@@ -5,26 +5,32 @@
 namespace urcgc::core {
 
 void encode(wire::Writer& w, const AppMessage& msg) {
+  encode(w, msg, msg.payload.view());
+}
+
+void encode(wire::Writer& w, const AppMessage& msg,
+            std::span<const std::uint8_t> payload) {
   wire::put_mid(w, msg.mid);
   wire::put_mids(w, msg.deps);
   w.i64(msg.generated_at);
-  w.bytes(msg.payload);
+  w.bytes(payload);
 }
 
-Result<AppMessage, wire::DecodeError> decode_app_message(wire::Reader& r) {
+Result<AppMessage, wire::DecodeError> decode_app_message(
+    wire::Reader& r, const wire::SharedBuffer& frame) {
   AppMessage msg;
   auto mid = wire::get_mid(r);
   if (!mid) return Unexpected(mid.error());
   msg.mid = mid.value();
-  auto deps = wire::get_mids(r);
-  if (!deps) return Unexpected(deps.error());
-  msg.deps = std::move(deps).value();
+  if (auto st = wire::read_mids(r, msg.deps); !st) {
+    return Unexpected(st.error());
+  }
   auto at = r.i64();
   if (!at) return Unexpected(at.error());
   msg.generated_at = at.value();
-  auto payload = r.bytes();
+  auto payload = r.bytes_view();
   if (!payload) return Unexpected(payload.error());
-  msg.payload = std::move(payload).value();
+  msg.payload = wire::Slice(frame, payload.value());
   return msg;
 }
 

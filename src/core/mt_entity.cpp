@@ -40,8 +40,8 @@ MtEntity::SubmitResult MtEntity::submit(AppMessage msg, Tick now) {
       ++waiting_rejected_;
       return SubmitResult::kRejected;
     }
-    // Parking adopts the message's storage: deps and payload move into the
-    // waiting entry instead of being copied per park.
+    // Parking moves the message into the waiting entry: inline deps and
+    // the payload slice, no copy.
     causal::PendingMessage pending{msg.mid, std::move(msg.deps),
                                    msg.generated_at, now,
                                    std::move(msg.payload)};
@@ -137,21 +137,30 @@ void MtEntity::report_overrides(const std::vector<Seq>& baseline,
   });
 }
 
-RecoverRsp MtEntity::serve_recovery(const RecoverRq& rq) const {
-  RecoverRsp rsp;
-  rsp.from = self_;
-  rsp.origin = rq.origin;
-  rsp.to_seq = rq.to_seq;
-  // Fetch one past the batch cap: an over-full result proves the range
-  // holds more than one batch, and the requester must keep pulling rather
-  // than treat the truncated batch as "gap satisfied".
+std::vector<std::uint8_t> MtEntity::serve_recovery(
+    const RecoverRq& rq) const {
+  // Count one past the batch cap: an over-full range proves it holds more
+  // than one batch, and the requester must keep pulling rather than treat
+  // the truncated batch as "gap satisfied".
   const auto cap = static_cast<std::size_t>(config_.max_recover_batch);
-  rsp.messages = history_.range(rq.origin, rq.from_seq, rq.to_seq, cap + 1);
-  if (rsp.messages.size() > cap) {
-    rsp.messages.pop_back();
-    rsp.truncated = true;
-  }
-  return rsp;
+  std::size_t bytes = kRecoverRspHeaderBytes;
+  std::size_t held = 0;
+  history_.for_each_in_range(rq.origin, rq.from_seq, rq.to_seq, cap + 1,
+                             [&](const AppMessage& msg) {
+                               if (held++ < cap) bytes += encoded_size(msg);
+                             });
+  if (held == 0) return {};
+  const std::size_t batch = std::min(held, cap);
+  RecoverRsp header;
+  header.from = self_;
+  header.origin = rq.origin;
+  header.to_seq = rq.to_seq;
+  header.truncated = held > cap;
+  wire::Writer w(bytes);
+  encode_recover_rsp_header(w, header, batch);
+  history_.for_each_in_range(rq.origin, rq.from_seq, rq.to_seq, batch,
+                             [&w](const AppMessage& msg) { encode(w, msg); });
+  return std::move(w).take();
 }
 
 std::size_t MtEntity::clean(const std::vector<Seq>& clean_upto) {

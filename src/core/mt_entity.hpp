@@ -56,9 +56,8 @@ class MtEntity {
   /// stability cleaning cannot pass this member's processed prefix.
   ///
   /// Takes the message by value: callers that are done with their copy move
-  /// it in, and a parked message adopts the deps and payload storage rather
-  /// than duplicating both (the dominant waiting-list cost at pipelining
-  /// depth >= 2, where parking is the steady state).
+  /// it in, and parking or storing it moves it on (inline deps, and the
+  /// payload slice that pins its frame) without touching the heap.
   SubmitResult submit(AppMessage msg, Tick now);
 
   [[nodiscard]] bool processed(const Mid& mid) const;
@@ -115,8 +114,13 @@ class MtEntity {
     }
   }
 
-  /// Serves a peer's recovery request from the local history.
-  [[nodiscard]] RecoverRsp serve_recovery(const RecoverRq& rq) const;
+  /// Serves a peer's recovery request from the local history: the
+  /// RecoverRsp frame, encoded straight from the stored messages, or an
+  /// empty vector when the history holds nothing in the range. A batch
+  /// holds at most Config::max_recover_batch messages and is flagged
+  /// truncated when the range holds more.
+  [[nodiscard]] std::vector<std::uint8_t> serve_recovery(
+      const RecoverRq& rq) const;
 
   /// Applies a full_group cleaning decision. `clean_upto` may be narrower
   /// than the provisioned capacity (it is view-width when the live view has

@@ -1,5 +1,7 @@
 #include "core/pdu.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "core/delta.hpp"
 #include "wire/codec.hpp"
@@ -176,9 +178,14 @@ Status<wire::DecodeError> decode_decision_body(wire::Reader& r,
 }
 
 std::vector<std::uint8_t> encode_pdu(const AppMessage& msg) {
-  wire::Writer w(64 + msg.payload.size());
+  return encode_pdu(msg, msg.payload.view());
+}
+
+std::vector<std::uint8_t> encode_pdu(const AppMessage& msg,
+                                     std::span<const std::uint8_t> payload) {
+  wire::Writer w(1 + encoded_size(msg, payload.size()));
   w.u8(static_cast<std::uint8_t>(PduType::kAppData));
-  encode(w, msg);
+  encode(w, msg, payload);
   return std::move(w).take();
 }
 
@@ -274,14 +281,19 @@ std::vector<std::uint8_t> encode_pdu(const SnapshotRsp& rsp) {
   return std::move(w).take();
 }
 
-std::vector<std::uint8_t> encode_pdu(const RecoverRsp& rsp) {
-  wire::Writer w(64);
+void encode_recover_rsp_header(wire::Writer& w, const RecoverRsp& rsp,
+                               std::size_t count) {
   w.u8(static_cast<std::uint8_t>(PduType::kRecoverRsp));
   w.i32(rsp.from);
   w.i32(rsp.origin);
   w.i64(rsp.to_seq);
   w.u8(rsp.truncated ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(rsp.messages.size()));
+  w.u32(static_cast<std::uint32_t>(count));
+}
+
+std::vector<std::uint8_t> encode_pdu(const RecoverRsp& rsp) {
+  wire::Writer w(64);
+  encode_recover_rsp_header(w, rsp, rsp.messages.size());
   for (const AppMessage& msg : rsp.messages) encode(w, msg);
   return std::move(w).take();
 }
@@ -312,8 +324,53 @@ Status<wire::DecodeError> decode_decision_frame(
   return r.finish();
 }
 
-Result<Pdu, wire::DecodeError> decode_pdu(
-    std::span<const std::uint8_t> bytes, DecodeContext* ctx) {
+namespace {
+
+/// Smallest encoding of one application message: mid (12), an empty dep
+/// count (4), generated_at (8) and an empty payload's length (4). Bounds
+/// how many messages a RecoverRsp's remaining bytes can hold.
+constexpr std::size_t kMinAppMessageBytes = 28;
+
+/// A kRecoverRsp body (after the type byte), through the end of the
+/// frame, into `out`, reusing its messages' capacity.
+Status<wire::DecodeError> decode_recover_rsp_body(
+    wire::Reader& r, const wire::SharedBuffer& owner, RecoverRsp& out) {
+  out.messages.clear();
+  auto from = r.i32();
+  if (!from) return Unexpected(from.error());
+  out.from = from.value();
+  auto origin = r.i32();
+  if (!origin) return Unexpected(origin.error());
+  out.origin = origin.value();
+  auto to_seq = r.i64();
+  if (!to_seq) return Unexpected(to_seq.error());
+  out.to_seq = to_seq.value();
+  auto truncated = r.u8();
+  if (!truncated) return Unexpected(truncated.error());
+  out.truncated = truncated.value() != 0;
+  auto count = r.u32();
+  if (!count) return Unexpected(count.error());
+  out.messages.reserve(std::min<std::size_t>(
+      count.value(), r.remaining() / kMinAppMessageBytes));
+  for (std::uint32_t i = 0; i < count.value(); ++i) {
+    auto msg = decode_app_message(r, owner);
+    if (!msg) return Unexpected(msg.error());
+    out.messages.push_back(std::move(msg).value());
+  }
+  return r.finish();
+}
+
+bool carries_app_messages(std::span<const std::uint8_t> bytes) {
+  return !bytes.empty() &&
+         (bytes[0] == static_cast<std::uint8_t>(PduType::kAppData) ||
+          bytes[0] == static_cast<std::uint8_t>(PduType::kRecoverRsp));
+}
+
+/// decode_pdu proper. `owner` holds `bytes` whenever the frame carries
+/// application messages.
+Result<Pdu, wire::DecodeError> decode_frame(std::span<const std::uint8_t> bytes,
+                                            const wire::SharedBuffer* owner,
+                                            DecodeContext* ctx) {
   wire::Reader r(bytes);
   auto type = r.u8();
   if (!type) return Unexpected(type.error());
@@ -327,7 +384,8 @@ Result<Pdu, wire::DecodeError> decode_pdu(
 
   switch (static_cast<PduType>(type.value())) {
     case PduType::kAppData: {
-      auto msg = decode_app_message(r);
+      URCGC_ASSERT(owner != nullptr);
+      auto msg = decode_app_message(r, *owner);
       if (!msg) return Unexpected(msg.error());
       if (auto fin = r.finish(); !fin) return Unexpected(fin.error());
       return Pdu{std::move(msg).value()};
@@ -405,27 +463,11 @@ Result<Pdu, wire::DecodeError> decode_pdu(
       return Pdu{rq};
     }
     case PduType::kRecoverRsp: {
+      URCGC_ASSERT(owner != nullptr);
       RecoverRsp rsp;
-      auto from = r.i32();
-      if (!from) return Unexpected(from.error());
-      rsp.from = from.value();
-      auto origin = r.i32();
-      if (!origin) return Unexpected(origin.error());
-      rsp.origin = origin.value();
-      auto to_seq = r.i64();
-      if (!to_seq) return Unexpected(to_seq.error());
-      rsp.to_seq = to_seq.value();
-      auto truncated = r.u8();
-      if (!truncated) return Unexpected(truncated.error());
-      rsp.truncated = truncated.value() != 0;
-      auto count = r.u32();
-      if (!count) return Unexpected(count.error());
-      for (std::uint32_t i = 0; i < count.value(); ++i) {
-        auto msg = decode_app_message(r);
-        if (!msg) return Unexpected(msg.error());
-        rsp.messages.push_back(std::move(msg).value());
+      if (auto st = decode_recover_rsp_body(r, *owner, rsp); !st) {
+        return Unexpected(st.error());
       }
-      if (auto fin = r.finish(); !fin) return Unexpected(fin.error());
       return Pdu{std::move(rsp)};
     }
     case PduType::kJoinRq: {
@@ -482,6 +524,37 @@ Result<Pdu, wire::DecodeError> decode_pdu(
     }
   }
   return Unexpected(wire::DecodeError::kBadValue);
+}
+
+}  // namespace
+
+Result<Pdu, wire::DecodeError> decode_pdu(
+    std::span<const std::uint8_t> bytes, DecodeContext* ctx) {
+  if (carries_app_messages(bytes)) {
+    return decode_pdu(wire::Slice::copy(bytes), ctx);
+  }
+  return decode_frame(bytes, nullptr, ctx);
+}
+
+bool is_recover_rsp_frame(std::span<const std::uint8_t> bytes) {
+  return !bytes.empty() &&
+         bytes[0] == static_cast<std::uint8_t>(PduType::kRecoverRsp);
+}
+
+Status<wire::DecodeError> decode_recover_rsp_frame(const wire::Slice& frame,
+                                                   RecoverRsp& out) {
+  out.messages.clear();
+  if (!is_recover_rsp_frame(frame) || frame.owner().empty()) {
+    return Unexpected(wire::DecodeError::kBadValue);
+  }
+  wire::Reader r(frame.view().subspan(1));
+  return decode_recover_rsp_body(r, frame.owner(), out);
+}
+
+Result<Pdu, wire::DecodeError> decode_pdu(const wire::Slice& frame,
+                                          DecodeContext* ctx) {
+  if (frame.owner().empty()) return decode_pdu(frame.view(), ctx);
+  return decode_frame(frame.view(), &frame.owner(), ctx);
 }
 
 }  // namespace urcgc::core

@@ -12,6 +12,7 @@
 // encodings.
 
 #include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "core/config.hpp"
 #include "core/message.hpp"
 #include "wire/buffer.hpp"
+#include "wire/slice.hpp"
 
 namespace urcgc::core {
 
@@ -199,6 +201,11 @@ using Pdu = std::variant<AppMessage, Request, Decision, RecoverRq, RecoverRsp,
                          ClientRq, JoinRq, SnapshotRq, SnapshotRsp>;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_pdu(const AppMessage& msg);
+/// An application frame carrying `payload` in place of msg.payload: the
+/// sender encodes first, then makes its stored copy's payload a slice of
+/// the frame it broadcasts.
+[[nodiscard]] std::vector<std::uint8_t> encode_pdu(
+    const AppMessage& msg, std::span<const std::uint8_t> payload);
 [[nodiscard]] std::vector<std::uint8_t> encode_pdu(const Request& rq);
 [[nodiscard]] std::vector<std::uint8_t> encode_pdu(const Decision& d);
 [[nodiscard]] std::vector<std::uint8_t> encode_pdu(const RecoverRq& rq);
@@ -207,6 +214,15 @@ using Pdu = std::variant<AppMessage, Request, Decision, RecoverRq, RecoverRsp,
 [[nodiscard]] std::vector<std::uint8_t> encode_pdu(const JoinRq& rq);
 [[nodiscard]] std::vector<std::uint8_t> encode_pdu(const SnapshotRq& rq);
 [[nodiscard]] std::vector<std::uint8_t> encode_pdu(const SnapshotRsp& rsp);
+
+/// Writes the fields of a RecoverRsp frame that precede its messages,
+/// announcing `count` of them; the caller then appends each message with
+/// encode(w, msg). A recovery server encodes straight from its history
+/// this way, without collecting copies first.
+void encode_recover_rsp_header(wire::Writer& w, const RecoverRsp& rsp,
+                               std::size_t count);
+/// Bytes encode_recover_rsp_header writes.
+inline constexpr std::size_t kRecoverRspHeaderBytes = 1 + 4 + 4 + 8 + 1 + 4;
 
 /// Canonical full encoding of a decision body — the payload of a full
 /// DECISION frame, the tail of a full REQUEST, and the byte string
@@ -257,11 +273,32 @@ struct DecodeContext;  // delta.hpp: anchor cache + anchor-miss signal
 /// miss. Full frames never need a context. REQUEST embeds no fresher than
 /// ctx->stub_embeds_upto come back as stubs (only decided_at set); a
 /// stubbed frame is accepted or rejected exactly as a full decode would.
+///
+/// Decoded application messages (kAppData, kRecoverRsp) keep their
+/// payloads as slices of a frame, so this overload, which has no owner
+/// for `bytes`, copies such a frame once into a new buffer first. Every
+/// other frame type decodes without that copy.
 [[nodiscard]] Result<Pdu, wire::DecodeError> decode_pdu(
     std::span<const std::uint8_t> bytes, DecodeContext* ctx = nullptr);
+/// The same for a frame a SharedBuffer already holds: application
+/// payloads become slices of `frame`'s buffer, and nothing is copied.
+/// `ctx` has no default, so a braced list or a std::vector argument
+/// always selects the span overload.
+[[nodiscard]] Result<Pdu, wire::DecodeError> decode_pdu(
+    const wire::Slice& frame, DecodeContext* ctx);
 
 /// True when `bytes` is a DECISION or DECISION_DELTA frame.
 [[nodiscard]] bool is_decision_frame(std::span<const std::uint8_t> bytes);
+
+/// True when `bytes` is a kRecoverRsp frame.
+[[nodiscard]] bool is_recover_rsp_frame(std::span<const std::uint8_t> bytes);
+
+/// Decodes a kRecoverRsp frame into `out`, a caller-owned scratch whose
+/// messages vector keeps its capacity; each message's payload is a slice
+/// of `frame`'s buffer. On error `out` holds a partial decode and must not
+/// be used.
+[[nodiscard]] Status<wire::DecodeError> decode_recover_rsp_frame(
+    const wire::Slice& frame, RecoverRsp& out);
 
 struct DecisionPatch;  // delta.hpp: what a delta frame changed
 

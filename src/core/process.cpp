@@ -91,9 +91,7 @@ void UrcgcProcess::start() {
   URCGC_ASSERT_MSG(!started_, "start() called twice");
   started_ = true;
   endpoint_.set_upcall(
-      [this](ProcessId src, std::span<const std::uint8_t> bytes) {
-        on_datagram(src, bytes);
-      });
+      [this](ProcessId src, wire::FrameRef frame) { on_datagram(src, frame); });
   rt_.on_round(self_, [this](RoundId round) { on_round(round); });
 }
 
@@ -279,15 +277,18 @@ bool UrcgcProcess::generate_one(Tick now) {
   AppMessage msg;
   const Seq seq = next_seq_++;
   msg.mid = Mid{self_, seq};
-  msg.deps = build_deps(std::move(user_deps), seq);
+  msg.deps = build_deps(user_deps, seq);
   msg.generated_at = now;
-  msg.payload = std::move(payload);
+  // Encode first: the stored copy's payload is then the frame's tail, so
+  // the sender keeps one buffer for the broadcast and its history entry.
+  wire::SharedBuffer frame = encode_pdu(msg, payload);
+  msg.payload = wire::Slice(frame, frame.view().last(payload.size()));
 
   ++counters_.generated;
   bump(m_.generated);
   if (observer_ != nullptr) observer_->on_generated(self_, msg, now);
 
-  broadcast_pdu(encode_pdu(msg), stats::MsgClass::kAppData);
+  broadcast_pdu(std::move(frame), stats::MsgClass::kAppData);
   // The sender processes its own message at once.
   submit_tracked(std::move(msg), now);
   return true;
@@ -311,15 +312,18 @@ MtEntity::SubmitResult UrcgcProcess::submit_tracked(AppMessage msg,
   return result;
 }
 
-std::vector<Mid> UrcgcProcess::build_deps(std::vector<Mid> user_deps,
-                                          Seq my_seq) const {
-  std::vector<Mid> deps = std::move(user_deps);
+causal::DepList UrcgcProcess::build_deps(const std::vector<Mid>& user_deps,
+                                         Seq my_seq) const {
+  causal::DepList deps;
   // Drop dependencies the protocol cannot honour: unknown origins and
   // self-references to the present or future.
-  std::erase_if(deps, [&](const Mid& mid) {
-    return !mid.valid() || mid.origin < 0 || mid.origin >= config_.n ||
-           (mid.origin == self_ && mid.seq >= my_seq);
-  });
+  for (const Mid& mid : user_deps) {
+    if (!mid.valid() || mid.origin < 0 || mid.origin >= config_.n ||
+        (mid.origin == self_ && mid.seq >= my_seq)) {
+      continue;
+    }
+    deps.push_back(mid);
+  }
 
   switch (config_.causality) {
     case CausalityMode::kGeneral:
@@ -603,10 +607,11 @@ void UrcgcProcess::apply_decision(const Decision& d, std::uint64_t digest,
                 [&](ProcessId p) { return p < latest_.n(); });
 }
 
-std::vector<ProcessId> UrcgcProcess::recovery_candidates(
-    ProcessId origin, Seq from_seq) const {
+const std::vector<ProcessId>& UrcgcProcess::recovery_candidates(
+    ProcessId origin, Seq from_seq) {
   const int view = latest_.n();
-  std::vector<ProcessId> ring;
+  std::vector<ProcessId>& ring = candidates_;
+  ring.clear();
   const auto push = [&](ProcessId p) {
     if (p == kNoProcess || p == self_ || p < 0 || p >= view ||
         !latest_.alive[p]) {
@@ -716,7 +721,7 @@ void UrcgcProcess::issue_recoveries(SubrunId subrun) {
       state.next_attempt = subrun + std::max<std::int64_t>(wait, 1);
     }
 
-    const std::vector<ProcessId> ring =
+    const std::vector<ProcessId>& ring =
         recovery_candidates(origin, range.from_seq);
     if (ring.empty()) continue;  // wait for the orphan cut
 
@@ -832,23 +837,23 @@ void UrcgcProcess::handle_recover_rq(const RecoverRq& rq) {
     return;
   }
 
-  RecoverRsp rsp = mt_.serve_recovery(rq);
+  std::vector<std::uint8_t> rsp = mt_.serve_recovery(rq);
   serve_cache_.origin = rq.origin;
   serve_cache_.from_seq = rq.from_seq;
   serve_cache_.to_seq = rq.to_seq;
   serve_cache_.version = mt_.history().version();
-  serve_cache_.empty = rsp.messages.empty();
-  if (rsp.messages.empty()) {
+  serve_cache_.empty = rsp.empty();
+  if (rsp.empty()) {
     serve_cache_.frame = wire::SharedBuffer{};
     return;  // nothing to offer
   }
-  serve_cache_.frame = wire::SharedBuffer::take(encode_pdu(rsp));
+  serve_cache_.frame = wire::SharedBuffer::take(std::move(rsp));
   ++counters_.recoveries_served;
   bump(m_.recoveries_served);
   send_pdu(rq.from, serve_cache_.frame, stats::MsgClass::kRecoverRsp);
 }
 
-void UrcgcProcess::handle_recover_rsp(RecoverRsp rsp) {
+void UrcgcProcess::handle_recover_rsp(RecoverRsp& rsp) {
   Seq max_seq = kNoSeq;
   std::uint64_t recovered = 0;
   for (AppMessage& msg : rsp.messages) {
@@ -893,6 +898,10 @@ void UrcgcProcess::handle_recover_rsp(RecoverRsp rsp) {
     }
     send_pdu(rsp.from, encode_pdu(next), stats::MsgClass::kRecoverRq);
   }
+
+  // Unpin what was not submitted (zombie messages) along with the
+  // moved-from rest.
+  rsp.messages.clear();
 
   // A drained batch may have been the last missing span of a catch-up.
   maybe_finish_catchup();
@@ -1040,8 +1049,7 @@ bool UrcgcProcess::drop_if_zombie(const AppMessage& msg) {
   return true;
 }
 
-void UrcgcProcess::on_datagram(ProcessId src,
-                               std::span<const std::uint8_t> bytes) {
+void UrcgcProcess::on_datagram(ProcessId src, wire::FrameRef frame) {
   if (halted_) return;
   if (faults_.is_crashed(self_, rt_.now())) {
     halt(HaltReason::kCrashFault);
@@ -1059,11 +1067,11 @@ void UrcgcProcess::on_datagram(ProcessId src,
   // either — letting it do so here would pin a member that receives only
   // undecodable deltas in the group forever instead of leaving after K
   // silent coordinators, a liveness difference full encoding cannot have.
-  if (is_decision_frame(bytes)) {
+  if (is_decision_frame(frame)) {
     // Decisions decode into the scratch and are committed — to the anchor
     // cache, then to apply_decision — only once the whole frame decoded,
     // so a garbage frame never touches live state.
-    if (auto st = decode_decision_frame(bytes, &ctx, rx_decision_,
+    if (auto st = decode_decision_frame(frame, &ctx, rx_decision_,
                                         &rx_patch_);
         !st) {
       drop_undecodable(ctx, st.error());
@@ -1080,7 +1088,22 @@ void UrcgcProcess::on_datagram(ProcessId src,
     handle_decision(src, *stored.decision, stored.digest, &rx_patch_);
     return;
   }
-  auto pdu = decode_pdu(bytes, &ctx);
+  // Application messages keep slices of the frame: shared with the other
+  // receivers when the endpoint passed its buffer, else copied once (by
+  // pin() or the span decoder).
+  if (is_recover_rsp_frame(frame)) {
+    // Recovery batches decode into a scratch that keeps its capacity.
+    if (auto st = decode_recover_rsp_frame(frame.pin(), rx_recover_); !st) {
+      rx_recover_.messages.clear();
+      drop_undecodable(ctx, st.error());
+      return;
+    }
+    last_datagram_at_ = rt_.now();
+    handle_recover_rsp(rx_recover_);
+    return;
+  }
+  auto pdu = frame.owner() != nullptr ? decode_pdu(frame.pin(), &ctx)
+                                      : decode_pdu(frame.view(), &ctx);
   if (!pdu) {
     drop_undecodable(ctx, pdu.error());
     return;
@@ -1111,7 +1134,8 @@ void UrcgcProcess::on_datagram(ProcessId src,
         } else if constexpr (std::is_same_v<T, RecoverRq>) {
           handle_recover_rq(payload);
         } else if constexpr (std::is_same_v<T, RecoverRsp>) {
-          handle_recover_rsp(std::move(payload));
+          // Recovery batches return above.
+          handle_recover_rsp(payload);
         } else if constexpr (std::is_same_v<T, JoinRq>) {
           handle_join_rq(payload);
         } else if constexpr (std::is_same_v<T, SnapshotRq>) {

@@ -214,7 +214,7 @@ class UrcgcProcess {
 
  private:
   void on_round(RoundId round);
-  void on_datagram(ProcessId src, std::span<const std::uint8_t> bytes);
+  void on_datagram(ProcessId src, wire::FrameRef frame);
 
   void request_round(SubrunId subrun);
   void decision_round(SubrunId subrun);
@@ -241,9 +241,10 @@ class UrcgcProcess {
   /// Candidate servers for origin's gap starting at from_seq, in rotation
   /// order: the advertised most-updated holder, then the originator, then
   /// every other live member (anyone who processed the span still holds it
-  /// — cleaning cannot pass our own prefix).
-  [[nodiscard]] std::vector<ProcessId> recovery_candidates(
-      ProcessId origin, Seq from_seq) const;
+  /// — cleaning cannot pass our own prefix). Fills and returns a member
+  /// scratch, valid until the next call.
+  const std::vector<ProcessId>& recovery_candidates(ProcessId origin,
+                                                    Seq from_seq);
 
   /// Applies a decoded decision unless its coordinator `src` is a member
   /// our view has cut.
@@ -251,7 +252,9 @@ class UrcgcProcess {
                        const DecisionPatch* patch);
   void handle_request(Request rq);
   void handle_recover_rq(const RecoverRq& rq);
-  void handle_recover_rsp(RecoverRsp rsp);
+  /// Submits a recovery batch; consumes (moves from, then clears) its
+  /// messages.
+  void handle_recover_rsp(RecoverRsp& rsp);
   void handle_join_rq(const JoinRq& rq);
   void handle_snapshot_rq(const SnapshotRq& rq);
   void handle_snapshot_rsp(const SnapshotRsp& rsp);
@@ -288,8 +291,8 @@ class UrcgcProcess {
 
   /// Builds the dependency list for a message about to carry (self, my_seq)
   /// under the configured causality mode.
-  [[nodiscard]] std::vector<Mid> build_deps(std::vector<Mid> user_deps,
-                                            Seq my_seq) const;
+  [[nodiscard]] causal::DepList build_deps(const std::vector<Mid>& user_deps,
+                                           Seq my_seq) const;
 
   /// Increments a registry counter on this process's shard; no-op when no
   /// registry is attached.
@@ -361,6 +364,8 @@ class UrcgcProcess {
   Decision rx_decision_;
   /// What the last DECISION_DELTA changed against its anchor.
   DecisionPatch rx_patch_;
+  /// Scratch a received RecoverRsp decodes into; empty between frames.
+  RecoverRsp rx_recover_;
   /// Request-round scratch: the REQUEST_DELTA's two sparse report
   /// sections, reused every subrun.
   std::vector<wire::SeqOverride> tx_processed_;
@@ -404,6 +409,8 @@ class UrcgcProcess {
     Tick gap_since = kNoTick;   ///< when this origin first went missing
   };
   std::vector<RecoveryState> recovery_;
+  /// recovery_candidates() scratch.
+  std::vector<ProcessId> candidates_;
   /// Origins whose RecoveryState is open (gap_since set), in opening order.
   std::vector<ProcessId> recovering_;
 

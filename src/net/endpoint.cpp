@@ -5,7 +5,7 @@ namespace urcgc::net {
 DatagramEndpoint::DatagramEndpoint(Network& network, ProcessId self)
     : network_(network), self_(self) {
   network_.attach(self_, [this](const Packet& packet) {
-    if (upcall_) upcall_(packet.src, packet.payload.view());
+    if (upcall_) upcall_(packet.src, wire::FrameRef(packet.payload));
   });
 }
 

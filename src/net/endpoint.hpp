@@ -12,14 +12,19 @@
 
 #include "common/types.hpp"
 #include "net/network.hpp"
+#include "wire/slice.hpp"
 
 namespace urcgc::net {
 
 class Endpoint {
  public:
-  /// Upcall: (source process, payload bytes).
-  using UpcallFn =
-      std::function<void(ProcessId, std::span<const std::uint8_t>)>;
+  /// Upcall: (source process, frame). The frame is valid only during the
+  /// call. It carries the SharedBuffer holding the bytes when the endpoint
+  /// has one, so a receiver can keep slices of it without copying; it
+  /// converts to and from std::span<const std::uint8_t>, so upcalls and
+  /// decorators written against bytes alone still work (a receiver then
+  /// copies what it keeps).
+  using UpcallFn = std::function<void(ProcessId, wire::FrameRef)>;
 
   virtual ~Endpoint() = default;
 

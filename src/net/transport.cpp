@@ -152,7 +152,7 @@ void TransportEndpoint::on_packet(const Packet& packet) {
         index.value() >= count.value()) {
       return reject();
     }
-    auto fragment = r.bytes();
+    auto fragment = r.bytes_view();
     if (!fragment || !r.finish()) return reject();
 
     // Always (re-)acknowledge the fragment: the sender may have missed a
@@ -166,15 +166,28 @@ void TransportEndpoint::on_packet(const Packet& packet) {
 
     auto& reassembly = reassembly_[{packet.src, xfer_id.value()}];
     if (reassembly.delivered) return;
+    // Fragment-count mismatch across packets of one transfer: hostile or
+    // corrupted framing — reject rather than resize mid-reassembly.
+    if (!reassembly.fragments.empty() &&
+        reassembly.fragments.size() != count.value()) {
+      return reject();
+    }
+    if (count.value() == 1) {
+      // A single-fragment transfer: the upcall's frame is this packet's
+      // slice of the shared datagram, not a copy.
+      reassembly.received = 1;
+      reassembly.delivered = true;
+      if (upcall_) {
+        upcall_(packet.src, wire::FrameRef(packet.payload, fragment.value()));
+      }
+      return;
+    }
     if (reassembly.fragments.empty()) {
       reassembly.fragments.resize(count.value());
     }
-    // Fragment-count mismatch across packets of one transfer: hostile or
-    // corrupted framing — reject rather than resize mid-reassembly.
-    if (reassembly.fragments.size() != count.value()) return reject();
     auto& slot = reassembly.fragments[index.value()];
     if (slot.has_value()) return;  // duplicate fragment
-    slot = std::move(fragment).value();
+    slot.emplace(fragment.value().begin(), fragment.value().end());
     ++reassembly.received;
 
     if (reassembly.received == reassembly.fragments.size()) {
@@ -186,8 +199,12 @@ void TransportEndpoint::on_packet(const Packet& packet) {
       // Free the buffers but keep the tombstone for dedup.
       reassembly.fragments.clear();
       reassembly.fragments.shrink_to_fit();
-      if (reassembly.received > 1) ++stats_.reassemblies;
-      if (upcall_) upcall_(packet.src, payload);
+      ++stats_.reassemblies;
+      // The reassembled transfer becomes a buffer of its own, so the
+      // receiver can keep slices of it.
+      const wire::SharedBuffer frame =
+          wire::SharedBuffer::take(std::move(payload));
+      if (upcall_) upcall_(packet.src, wire::FrameRef(frame));
     }
     return;
   }

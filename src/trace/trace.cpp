@@ -58,7 +58,7 @@ void TraceRecorder::on_generated(ProcessId p, const core::AppMessage& msg,
   event.kind = EventKind::kGenerated;
   event.process = p;
   event.mid = msg.mid;
-  event.deps = msg.deps;
+  event.deps.assign(msg.deps.begin(), msg.deps.end());
   record(std::move(event));
 }
 

@@ -38,11 +38,17 @@ Result<bool, DecodeError> Reader::boolean() {
 }
 
 Result<std::vector<std::uint8_t>, DecodeError> Reader::bytes() {
+  auto s = bytes_view();
+  if (!s) return Unexpected(s.error());
+  return std::vector<std::uint8_t>(s.value().begin(), s.value().end());
+}
+
+Result<std::span<const std::uint8_t>, DecodeError> Reader::bytes_view() {
   auto len = u32();
   if (!len) return Unexpected(len.error());
   std::span<const std::uint8_t> s;
   if (!take(len.value(), s)) return Unexpected(DecodeError::kTruncated);
-  return std::vector<std::uint8_t>(s.begin(), s.end());
+  return s;
 }
 
 Result<std::string, DecodeError> Reader::str() {

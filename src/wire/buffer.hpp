@@ -153,6 +153,9 @@ class Reader {
   }
   [[nodiscard]] Result<bool, DecodeError> boolean();
   [[nodiscard]] Result<std::vector<std::uint8_t>, DecodeError> bytes();
+  /// A bytes() field in place: a view into the input, no copy.
+  [[nodiscard]] Result<std::span<const std::uint8_t>, DecodeError>
+  bytes_view();
   [[nodiscard]] Result<std::string, DecodeError> str();
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }

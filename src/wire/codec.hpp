@@ -2,6 +2,7 @@
 // Codec helpers layered on Writer/Reader: Mid, sequence vectors and other
 // aggregates shared by several PDUs.
 
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -22,12 +23,15 @@ inline void put_mid(Writer& w, const Mid& mid) {
   return Mid{origin.value(), seq.value()};
 }
 
-inline void put_mids(Writer& w, const std::vector<Mid>& mids) {
+inline void put_mids(Writer& w, std::span<const Mid> mids) {
   w.u32(static_cast<std::uint32_t>(mids.size()));
   for (const auto& mid : mids) put_mid(w, mid);
 }
 
-[[nodiscard]] inline Result<std::vector<Mid>, DecodeError> get_mids(Reader& r) {
+/// Decodes a put_mids list into `out` (a std::vector or a SmallVec),
+/// reusing its storage.
+template <typename Mids>
+[[nodiscard]] inline Status<DecodeError> read_mids(Reader& r, Mids& out) {
   auto count = r.u32();
   if (!count) return Unexpected(count.error());
   // Each Mid costs 12 bytes on the wire; reject counts the buffer cannot hold
@@ -35,13 +39,17 @@ inline void put_mids(Writer& w, const std::vector<Mid>& mids) {
   if (count.value() * 12ULL > r.remaining()) {
     return Unexpected(DecodeError::kTruncated);
   }
-  std::vector<Mid> mids;
-  mids.reserve(count.value());
+  out.clear();
+  out.reserve(count.value());
   for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto mid = get_mid(r);
-    if (!mid) return Unexpected(mid.error());
-    mids.push_back(mid.value());
+    out.push_back(get_mid(r).value());
   }
+  return {};
+}
+
+[[nodiscard]] inline Result<std::vector<Mid>, DecodeError> get_mids(Reader& r) {
+  std::vector<Mid> mids;
+  if (auto st = read_mids(r, mids); !st) return Unexpected(st.error());
   return mids;
 }
 

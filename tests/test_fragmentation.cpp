@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -97,6 +98,31 @@ TEST(Fragmentation, EmptyPayloadStillDelivered) {
   rig.sim.run_until(1000);
   EXPECT_EQ(deliveries, 1);
   EXPECT_EQ(got_size, 0u);
+}
+
+TEST(Fragmentation, UpcallFramesCarryAnOwningBuffer) {
+  // A single-fragment transfer's frame is the packet's own slice of the
+  // datagram; a reassembled one becomes a buffer of its own. Either way
+  // the receiver can keep it without copying.
+  Rig rig(2, fault::FaultPlan(2), {.mtu = 100});
+  std::vector<wire::Slice> kept;
+  rig.endpoints[1]->set_upcall([&](ProcessId, wire::FrameRef frame) {
+    EXPECT_NE(frame.owner(), nullptr);
+    kept.push_back(frame.pin());
+  });
+  rig.endpoints[0]->send(1, pattern(60));
+  rig.endpoints[0]->send(1, pattern(250));
+  rig.sim.run_until(1000);
+  ASSERT_EQ(kept.size(), 2u);
+  std::sort(kept.begin(), kept.end(),
+            [](const wire::Slice& a, const wire::Slice& b) {
+              return a.size() < b.size();
+            });
+  EXPECT_EQ(kept[0], pattern(60));
+  EXPECT_EQ(kept[1], pattern(250));
+  // The single fragment still sits behind its transport header.
+  EXPECT_GT(kept[0].owner().size(), kept[0].size());
+  EXPECT_EQ(kept[1].owner().size(), kept[1].size());
 }
 
 TEST(Fragmentation, LostFragmentsRetransmittedSelectively) {

@@ -23,6 +23,16 @@ AppMessage make(ProcessId origin, Seq seq, std::vector<Mid> deps = {}) {
   return msg;
 }
 
+/// What serve_recovery offers, decoded (an empty batch when it offers
+/// nothing).
+RecoverRsp served(const MtEntity& mt, const RecoverRq& rq) {
+  const std::vector<std::uint8_t> frame = mt.serve_recovery(rq);
+  if (frame.empty()) return RecoverRsp{};
+  auto pdu = decode_pdu(frame);
+  EXPECT_TRUE(pdu.has_value());
+  return std::get<RecoverRsp>(std::move(pdu).value());
+}
+
 /// Message under the intermediate interpretation: implicit predecessor.
 AppMessage chained(ProcessId origin, Seq seq, std::vector<Mid> extra = {}) {
   auto deps = std::move(extra);
@@ -115,7 +125,7 @@ TEST(MtEntity, ServeRecoveryFromHistory) {
   MtEntity mt(small_config(), 0, nullptr);
   for (Seq s = 1; s <= 5; ++s) mt.submit(chained(1, s), s);
   RecoverRq rq{2, 1, 2, 4};
-  RecoverRsp rsp = mt.serve_recovery(rq);
+  RecoverRsp rsp = served(mt, rq);
   EXPECT_EQ(rsp.from, 0);
   EXPECT_EQ(rsp.origin, 1);
   ASSERT_EQ(rsp.messages.size(), 3u);
@@ -128,14 +138,15 @@ TEST(MtEntity, ServeRecoveryRespectsBatchCap) {
   config.max_recover_batch = 2;
   MtEntity mt(config, 0, nullptr);
   for (Seq s = 1; s <= 10; ++s) mt.submit(chained(1, s), s);
-  RecoverRsp rsp = mt.serve_recovery(RecoverRq{2, 1, 1, 10});
+  RecoverRsp rsp = served(mt, RecoverRq{2, 1, 1, 10});
+  EXPECT_TRUE(rsp.truncated);
   EXPECT_EQ(rsp.messages.size(), 2u);
   EXPECT_EQ(rsp.messages[0].mid.seq, 1);  // oldest first
 }
 
 TEST(MtEntity, ServeRecoveryEmptyWhenUnknown) {
   MtEntity mt(small_config(), 0, nullptr);
-  EXPECT_TRUE(mt.serve_recovery(RecoverRq{2, 1, 1, 5}).messages.empty());
+  EXPECT_TRUE(mt.serve_recovery(RecoverRq{2, 1, 1, 5}).empty());
 }
 
 TEST(MtEntity, CleanPurgesUpToStability) {
@@ -229,7 +240,7 @@ TEST(MtEntity, RecoveredMessagesFlowThroughNormalPath) {
 
   MtEntity behind(small_config(2), 1, nullptr);
   behind.submit(chained(1, 3), 5);  // waiting: 1..2 missing
-  auto rsp = source.serve_recovery(RecoverRq{1, 1, 1, 2});
+  auto rsp = served(source, RecoverRq{1, 1, 1, 2});
   for (const auto& msg : rsp.messages) behind.submit(msg, 6);
   EXPECT_EQ(behind.prefix(1), 3);
   EXPECT_EQ(behind.waiting_size(), 0u);
@@ -436,7 +447,7 @@ TEST(MtEntity, HostileSeqUnderGeneralCausality) {
   EXPECT_EQ(mt.prefix(1), 1);
   EXPECT_EQ(mt.history_size(), 2u);
   ASSERT_NE(mt.history().find({1, hostile}), nullptr);
-  const auto rsp = mt.serve_recovery(RecoverRq{0, 1, 1, hostile});
+  const auto rsp = served(mt, RecoverRq{0, 1, 1, hostile});
   ASSERT_EQ(rsp.messages.size(), 2u);
   EXPECT_EQ(rsp.messages.back().mid.seq, hostile);
 }

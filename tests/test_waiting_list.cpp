@@ -378,7 +378,7 @@ class ModelWaitingList {
  private:
   struct Entry {
     Mid mid;
-    std::vector<Mid> deps;
+    DepList deps;
     std::set<Mid> missing;
   };
   std::vector<Entry> entries_;  // arrival order
